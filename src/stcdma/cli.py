@@ -12,11 +12,19 @@ Results are written as CSV with a fixed column set and 6 significant digits,
 rows sorted by (axis value, algorithm, metric), so identical invocations
 produce byte-identical files.  Exit codes: 0 success, 1 configuration or
 validation problem, 2 runtime failure (divergence or a failing selftest).
+
+Every subcommand runs the loaded BLAS on one thread per process: at these
+matrix sizes more threads only spin, and under ``--workers`` they would
+oversubscribe the cores.  The setting is made before the worker pool forks,
+so workers inherit it.  Setting ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
+``MKL_NUM_THREADS`` or ``GOTO_NUM_THREADS`` leaves BLAS at the library's own
+choice.  Thread counts do not change results.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import os
 import sys
@@ -32,6 +40,43 @@ from .selftest import run_selftest
 __all__ = ["main", "console_entry", "emit_csv"]
 
 _CSV_HEADER = "axis_value,algorithm,metric,mean,half_width,runs,seed_hash"
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+    "MKL_Set_Num_Threads",
+)
+
+
+def _use_one_blas_thread() -> None:
+    """Set the loaded BLAS to one thread, unless a thread variable is set.
+
+    The library is found among this process's mapped files; where there is no
+    ``/proc`` or no known setter, BLAS is left as it is.
+    """
+    if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+        return
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted(
+                {line.split()[-1] for line in fh if ".so" in line and ("blas" in line.lower() or "mkl" in line)}
+            )
+    except OSError:
+        return
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(handle, name):
+                setter = getattr(handle, name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
 
 
 def emit_csv(series, stream) -> None:
@@ -46,12 +91,28 @@ def emit_csv(series, stream) -> None:
 
 
 def _parse_grid(text: str, kind: str):
+    convert = float if kind == "float" else int
     try:
-        if kind == "float":
-            return [float(v) for v in text.split(",") if v.strip() != ""]
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        grid = [convert(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ScenarioError(f"bad --grid value: {exc}") from None
+    if not grid:
+        raise ScenarioError(f"--grid has no values: {text!r}")
+    return grid
+
+
+def _worker_count(flag):
+    """The pool size from ``--workers`` or ``STCDMA_WORKERS``; None runs serially."""
+    source, text = "--workers", flag
+    if flag is None:
+        source, text = "STCDMA_WORKERS", os.environ.get("STCDMA_WORKERS") or "0"
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ScenarioError(f"{source} must be a whole number, got {text!r}") from None
+    if workers < 0:
+        raise ScenarioError(f"{source} must not be negative, got {workers}")
+    return workers or None
 
 
 def _default_symbol_grid(packet_symbols: int) -> list:
@@ -67,7 +128,9 @@ def _add_common(parser, needs_grid):
         "--workers",
         type=int,
         default=None,
-        help="parallel worker processes (default: STCDMA_WORKERS or serial)",
+        help="parallel worker processes (default: STCDMA_WORKERS or serial); each "
+        "process runs BLAS on one thread unless OPENBLAS_NUM_THREADS, "
+        "OMP_NUM_THREADS, MKL_NUM_THREADS or GOTO_NUM_THREADS is set",
     )
     parser.add_argument(
         "--grid",
@@ -111,6 +174,10 @@ _COMMAND_AXES = {
 
 
 def _run_sweep_command(args) -> int:
+    for flag, value in (("--runs", args.runs), ("--smooth-window", args.smooth_window)):
+        if value < 1:
+            raise ScenarioError(f"{flag} must be at least 1, got {value}")
+    workers = _worker_count(args.workers)
     if not os.path.exists(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
@@ -128,9 +195,12 @@ def _run_sweep_command(args) -> int:
         grid = _parse_grid(args.grid, "float" if axis == "snr" else "int")
     else:
         grid = _default_symbol_grid(scn.packet_symbols)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("STCDMA_WORKERS", "0")) or None
+    if axis == "symbols":
+        outside = [g for g in grid if not 0 <= g < scn.packet_symbols]
+        if outside:
+            raise ScenarioError(
+                f"--grid symbol indices outside the packet of {scn.packet_symbols} symbols: {outside}"
+            )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         series = sweep(
@@ -174,6 +244,7 @@ def _run_sweep_command(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _use_one_blas_thread()
     if args.command == "selftest":
         return 0 if run_selftest(args.seed) else 2
     try:

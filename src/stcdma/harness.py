@@ -13,6 +13,7 @@ ambiguity, consistent with the phase-aligned error metric.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -76,7 +77,11 @@ _FILTER_LIMIT = 1e6
 
 
 def trial_seed(master_seed: int, point_index: int, run_index: int) -> np.random.SeedSequence:
-    """Counter-based per-trial seed: stable under adding points or runs."""
+    """Counter-based per-trial seed, keyed by point index and run index.
+
+    Appending points or runs leaves existing trials unchanged; inserting a
+    point before others shifts their indices and so their seeds.
+    """
     return np.random.SeedSequence((int(master_seed), int(point_index), int(run_index)))
 
 
@@ -512,7 +517,16 @@ def sweep(
         raise ValueError("grid must be non-empty")
     if runs < 1:
         raise ValueError("runs must be positive")
+    if smooth_window < 1:
+        raise ValueError("smooth_window must be positive")
     scn.validate()
+    if axis == "users" and scn.extra_users:
+        warnings.warn(
+            f"the users axis sets every point's user count, so extra_users = "
+            f"{scn.extra_users} is dropped (set to 0)",
+            UserWarning,
+            stacklevel=2,
+        )
     if axis == "symbols":
         bad = [g for g in grid if not 0 <= int(g) < scn.packet_symbols]
         if bad:

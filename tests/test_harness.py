@@ -1,5 +1,7 @@
 """Trial seeding, metric pooling, and sweep bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,16 @@ def test_sweep_users_axis_replaces_user_count():
     series = sweep(scn, "users", [1, 3], runs=2)
     assert {r.axis_value for r in series.rows} == {1.0, 3.0}
     assert all(r.metric == "ber" for r in series.rows)
+
+
+def test_sweep_users_axis_warns_that_extra_users_are_dropped():
+    scn = _tiny_scenario(extra_users=1, extra_users_at=100)
+    with pytest.warns(UserWarning, match="extra_users = 1"):
+        series = sweep(scn, "users", [2], runs=1)
+    assert [r.axis_value for r in series.rows] == [2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        sweep(_tiny_scenario(), "users", [2], runs=1)
 
 
 def test_sweep_rejects_bad_arguments():
