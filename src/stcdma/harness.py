@@ -7,7 +7,9 @@ trials never perturbs existing ones.  Channel estimates are computed once per
 trial (they depend only on the received data) and shared by every receiver
 that consumes them; blind estimates are phase-aligned to the true channel
 before use, the usual pilot-equivalent resolution of the blind phase
-ambiguity, consistent with the phase-aligned error metric.
+ambiguity, consistent with the phase-aligned error metric.  Each receiver's
+per-block loop only adapts and records its filter outputs; combining,
+detection and bit-error scoring then run once per packet on the recording.
 """
 
 from __future__ import annotations
@@ -242,19 +244,44 @@ def _bit_errors(decided: np.ndarray, truth: np.ndarray) -> np.ndarray:
     ).astype(np.uint8)
 
 
-def _finite_pair(fp: FilterPair) -> bool:
-    return bool(
-        np.all(np.isfinite(fp.w))
-        and np.all(np.isfinite(fp.wbar))
-        and np.linalg.norm(fp.w) < _FILTER_LIMIT
-        and np.linalg.norm(fp.wbar) < _FILTER_LIMIT
-    )
+def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.ndarray:
+    """Per-symbol bit errors of a packet, scored once from its recorded
+    filter outputs: (blocks, rx, 2) with two transmit antennas, (symbols, rx)
+    with one.
+
+    Equal gains apply with ``egc`` or one receive antenna.  ``mrc`` weighs
+    each slot by the antennas' output energies, a 0.99 IIR over the slots
+    before it that starts at 1.
+    """
+    outputs = outputs.reshape(outputs.shape[0], outputs.shape[1], -1)
+    nrx = outputs.shape[1]
+    if combiner == "egc" or nrx == 1:
+        z = combine(outputs.transpose(1, 0, 2), CombinerGains.equal(nrx))
+    else:
+        power = (np.abs(outputs) ** 2).mean(axis=2)
+        gains = np.empty_like(power)
+        energies = np.ones(nrx)
+        for i, p in enumerate(power):
+            gains[i] = CombinerGains.proportional(energies).gains
+            energies = 0.99 * energies + 0.01 * p
+        z = np.einsum("sm,smk->sk", gains, outputs)
+    return _bit_errors(detect(z), truth.reshape(z.shape)).ravel()
 
 
-def _run_pair_algorithm(alg, scn, ys, ests, truth_b1, truth_b2, cm):
-    """One receiver algorithm over a whole two-antenna-coded packet."""
+def _bounded(w: np.ndarray) -> bool:
+    """True while the filter's norm is below the limit; a NaN or inf norm
+    fails the comparison by itself, so no separate finiteness check."""
+    return np.vdot(w, w).real < _FILTER_LIMIT**2
+
+
+def _run_pair_algorithm(alg, scn, ys, ests, truth, cm):
+    """Adapt one receiver algorithm over a whole two-antenna-coded packet.
+
+    Returns the (blocks, rx, 2) filter outputs and whether it diverged.
+    """
     nrx = len(ys)
     nblocks = ys[0].shape[1]
+    symbols = truth.reshape(nblocks, 2)
     pp = projection_pair(cm)
     dim = cm.block_dim
     if alg == "trained-lms":
@@ -269,65 +296,48 @@ def _run_pair_algorithm(alg, scn, ys, ests, truth_b1, truth_b2, cm):
         stats = [CcmStatistics(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
     elif alg == "cmv-exact":
         stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-    energies = np.ones(nrx)
-    errors = np.zeros(2 * nblocks, dtype=np.uint8)
+    outputs = np.empty((nblocks, nrx, 2), dtype=complex)
     diverged = False
-    egc = scn.combiner == "egc" or nrx == 1
     for i in range(nblocks):
-        outputs = np.array([pairs[m].output(ys[m][:, i]) for m in range(nrx)])
-        gains = (
-            CombinerGains.equal(nrx) if egc else CombinerGains.proportional(energies)
-        )
-        z, zbar = combine(outputs, gains)
-        errors[2 * i] = _bit_errors(detect(z), truth_b1[i])
-        errors[2 * i + 1] = _bit_errors(detect(zbar), truth_b2[i])
-        energies = 0.99 * energies + 0.01 * (np.abs(outputs) ** 2).mean(axis=1)
+        zs = [pairs[m].output(ys[m][:, i]) for m in range(nrx)]
+        outputs[i] = zs
         if diverged:
             continue
         for m in range(nrx):
             y = ys[m][:, i]
-            h = ests[m][:, i] if ests is not None else None
-            before = FilterPair(w=pairs[m].w.copy(), wbar=pairs[m].wbar.copy())
+            h = ests[m][:, i] if ests else None
+            # Steps replace the filter arrays rather than write into them.
+            before = FilterPair(w=pairs[m].w, wbar=pairs[m].wbar)
             try:
-                if alg == "ccm-sg":
-                    ccm_sg_step(
-                        pairs[m], pp, y, h, scn.nu, scn.step_ccm, scn.normalize_steps
-                    )
-                elif alg == "cmv-sg":
-                    cmv_sg_step(
-                        pairs[m], pp, y, h, scn.nu, scn.step_cmv, scn.normalize_steps
-                    )
+                if alg in ("ccm-sg", "cmv-sg"):
+                    sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
+                    mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
+                    sg_step(pairs[m], pp, y, h, scn.nu, mu, scn.normalize_steps, outputs=zs[m])
                 elif alg == "trained-lms":
-                    pairs[m].w = trained_lms_step(pairs[m].w, y, truth_b1[i], scn.step_lms)
-                    pairs[m].wbar = trained_lms_step(
-                        pairs[m].wbar, y, truth_b2[i], scn.step_lms
-                    )
+                    pairs[m].w = trained_lms_step(pairs[m].w, y, symbols[i, 0], scn.step_lms)
+                    pairs[m].wbar = trained_lms_step(pairs[m].wbar, y, symbols[i, 1], scn.step_lms)
                 elif alg == "ccm-exact":
-                    zm, zbm = outputs[m]
-                    stats[m].update(y, zm, zbm)
+                    stats[m].update(y, *zs[m])
                     if (i + 1) % scn.filter_refresh == 0:
-                        pairs[m] = ccm_exact_filter(
-                            stats[m], cm, h, scn.nu, scn.ridge
-                        )
+                        pairs[m] = ccm_exact_filter(stats[m], cm, h, scn.nu, scn.ridge)
                 elif alg == "cmv-exact":
                     stats[m].update(y)
                     if (i + 1) % scn.filter_refresh == 0:
-                        pairs[m] = cmv_exact_filter(
-                            stats[m].matrix, cm, h, scn.nu, scn.ridge
-                        )
+                        pairs[m] = cmv_exact_filter(stats[m].matrix, cm, h, scn.nu, scn.ridge)
+                if not (_bounded(pairs[m].w) and _bounded(pairs[m].wbar)):
+                    raise ArithmeticError("filter norm out of bounds")
             except (StepSizeError, np.linalg.LinAlgError, ArithmeticError):
                 pairs[m] = before
                 diverged = True
                 break
-            if not _finite_pair(pairs[m]):
-                pairs[m] = before
-                diverged = True
-                break
-    return errors, diverged
+    return outputs, diverged
 
 
 def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
-    """One receiver algorithm for the single-transmit-antenna system."""
+    """Adapt one receiver algorithm for the single-transmit-antenna system.
+
+    Returns the (symbols, rx) filter outputs and whether it diverged.
+    """
     nrx = len(ys)
     nsym = ys[0].shape[1]
     pi = constraint_projector(conv)
@@ -342,37 +352,23 @@ def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
         stats = [CcmStatistics(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
     elif alg == "cmv-exact":
         stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-    energies = np.ones(nrx)
-    errors = np.zeros(nsym, dtype=np.uint8)
+    outputs = np.empty((nsym, nrx), dtype=complex)
     diverged = False
-    egc = scn.combiner == "egc" or nrx == 1
     for t in range(nsym):
         block = t // 2
-        zs = np.array([np.vdot(ws[m], ys[m][:, t]) for m in range(nrx)])
-        gains = (
-            CombinerGains.equal(nrx) if egc else CombinerGains.proportional(energies)
-        )
-        z = combine(zs, gains)
-        errors[t] = _bit_errors(detect(z), truth[t])
-        energies = 0.99 * energies + 0.01 * np.abs(zs) ** 2
+        zs = [np.vdot(ws[m], ys[m][:, t]) for m in range(nrx)]
+        outputs[t] = zs
         if diverged:
             continue
         for m in range(nrx):
             y = ys[m][:, t]
             h = ests[m][:, block] if ests else None
-            w_before = ws[m].copy()
+            w_before = ws[m]
             try:
-                if alg == "ccm-sg":
+                if alg in ("ccm-sg", "cmv-sg"):
                     zc = zs[m]
-                    e = abs(zc) ** 2 - 1.0
-                    ws[m] = pi @ (ws[m] - scn.step_ccm * e * np.conj(zc) * y) + restore @ (
-                        scn.nu * h
-                    )
-                elif alg == "cmv-sg":
-                    zc = zs[m]
-                    ws[m] = pi @ (ws[m] - scn.step_cmv * np.conj(zc) * y) + restore @ (
-                        scn.nu * h
-                    )
+                    g = scn.step_ccm * (abs(zc) ** 2 - 1.0) if alg == "ccm-sg" else scn.step_cmv
+                    ws[m] = pi @ (ws[m] - g * np.conj(zc) * y) + restore @ (scn.nu * h)
                 elif alg == "trained-lms":
                     ws[m] = trained_lms_step(ws[m], y, truth[t], scn.step_lms)
                 elif alg == "ccm-exact":
@@ -385,21 +381,15 @@ def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
                     stats[m].update(y)
                     if (t + 1) % (2 * scn.filter_refresh) == 0:
                         ws[m] = constrained_quadratic_filter(
-                            stats[m].matrix,
-                            np.zeros(dim, complex),
-                            conv,
-                            scn.nu * h,
-                            scn.ridge,
+                            stats[m].matrix, np.zeros(dim, complex), conv, scn.nu * h, scn.ridge
                         )
+                if not _bounded(ws[m]):
+                    raise ArithmeticError("filter norm out of bounds")
             except (StepSizeError, np.linalg.LinAlgError, ArithmeticError):
                 ws[m] = w_before
                 diverged = True
                 break
-            if not (np.all(np.isfinite(ws[m])) and np.linalg.norm(ws[m]) < _FILTER_LIMIT):
-                ws[m] = w_before
-                diverged = True
-                break
-    return errors, diverged
+    return outputs, diverged
 
 
 def run_trial(scn: Scenario, seed) -> TrialResult:
@@ -436,14 +426,14 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         for m, ch in enumerate(channels):
             tracker = _Tracker(scn.channel_estimator, scn, c_for_est, ch.stacked)
             trace = np.empty((c_for_est.shape[1], scn.blocks), dtype=complex)
-            if scn.tx_antennas == 2:
-                observations = ((i, ys[m][:, i], i) for i in range(scn.blocks))
+            # One-antenna svd and sg trackers fold in every symbol; the genie
+            # reads only the true channel, so it runs once per block.
+            if scn.tx_antennas == 2 or scn.channel_estimator == "genie":
+                observations = ((i, ys[m][:, i]) for i in range(scn.blocks))
             else:
-                observations = (
-                    (t // 2, ys[m][:, t], t) for t in range(ys[m].shape[1])
-                )
+                observations = ((t // 2, ys[m][:, t]) for t in range(ys[m].shape[1]))
             frozen = None
-            for block, y, _t in observations:
+            for block, y in observations:
                 if frozen is None:
                     try:
                         vec = tracker.update(y, block)
@@ -465,12 +455,10 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
     truth = streams[0].symbols
     for alg in scn.algorithms:
         if scn.tx_antennas == 2:
-            errors, diverged = _run_pair_algorithm(
-                alg, scn, ys, ests if ests else None, truth[0::2], truth[1::2], cm
-            )
+            outputs, diverged = _run_pair_algorithm(alg, scn, ys, ests, truth, cm)
         else:
-            errors, diverged = _run_single_algorithm(alg, scn, ys, ests, truth, conv)
-        result.bit_errors[alg] = errors
+            outputs, diverged = _run_single_algorithm(alg, scn, ys, ests, truth, conv)
+        result.bit_errors[alg] = _packet_errors(outputs, truth, scn.combiner)
         result.diverged[alg] = diverged
     return result
 

@@ -233,14 +233,16 @@ def ccm_sg_step(
     nu: float = 1.0,
     mu: float = 1e-3,
     normalize: bool = False,
+    outputs: tuple[complex, complex] | None = None,
 ) -> FilterPair:
     """One constant-modulus stochastic-gradient update of both branches.
 
     The sample gradient factor is e conj(z) y with e = |z|^2 - 1 (one quarter
     of the full modulus-cost gradient; the step size absorbs the rest).  With
-    ``normalize`` the step is divided by ||y||^2 + eps.
+    ``normalize`` the step is divided by ||y||^2 + eps.  ``outputs`` is the
+    pair's (z, zbar) on y when the caller has already computed it.
     """
-    z, zbar = fp.output(y)
+    z, zbar = fp.output(y) if outputs is None else outputs
     g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
     e = abs(z) ** 2 - 1.0
     ebar = abs(zbar) ** 2 - 1.0
@@ -260,9 +262,11 @@ def cmv_sg_step(
     nu: float = 1.0,
     mu: float = 1e-3,
     normalize: bool = False,
+    outputs: tuple[complex, complex] | None = None,
 ) -> FilterPair:
-    """One output-power stochastic-gradient update of both branches."""
-    z, zbar = fp.output(y)
+    """One output-power stochastic-gradient update of both branches;
+    ``outputs`` is as for :func:`ccm_sg_step`."""
+    z, zbar = fp.output(y) if outputs is None else outputs
     g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
     fp.w = _sg_branch(fp.w, pp.pi, pp.restore, nu * h_stacked, np.conj(z) * y, g)
     fp.wbar = _sg_branch(

@@ -163,6 +163,19 @@ def test_sg_steps_keep_constraints_exact():
     assert np.max(np.abs(cm.odd.conj().T @ fp2.w - nu * h)) < 1e-10
 
 
+@pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
+def test_sg_step_with_given_outputs_matches_recomputed(step):
+    rng, cm, pp, h = _feasible_setup(12)
+    dim = cm.odd.shape[0]
+    y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    fp = min_norm_feasible_pair(pp, h, 1.2)
+    given = FilterPair(w=fp.w, wbar=fp.wbar)
+    step(fp, pp, y, h, nu=1.2, mu=1e-2, normalize=True)
+    step(given, pp, y, h, nu=1.2, mu=1e-2, normalize=True, outputs=given.output(y))
+    assert np.array_equal(fp.w, given.w)
+    assert np.array_equal(fp.wbar, given.wbar)
+
+
 def test_ccm_step_moves_along_projected_gradient():
     rng, cm, pp, h = _feasible_setup(9)
     fp = min_norm_feasible_pair(pp, h, 1.0)
