@@ -10,6 +10,11 @@ before use, the usual pilot-equivalent resolution of the blind phase
 ambiguity, consistent with the phase-aligned error metric.  Each receiver's
 per-block loop only adapts and records its filter outputs; combining,
 detection and bit-error scoring then run once per packet on the recording.
+Work that does not depend on the adapting filter is done ahead of it: the
+genie channel for the whole packet at once, the sg constraint offsets 256
+blocks at a time.  Not for the whole packet, because memory binds: one
+packet's observations take 3.3 MB at gain 32 and 6000 symbols, so running a
+point's trials in lockstep would hold that many packets at once.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .receivers import (
     cmv_sg_step,
     combine,
     constrained_quadratic_filter,
+    constraint_offsets,
     constraint_projector,
     constraint_restorer,
     detect,
@@ -76,6 +82,7 @@ __all__ = [
 
 AXES = ("symbols", "snr", "users")
 _FILTER_LIMIT = 1e6
+_CHUNK = 256
 
 
 def trial_seed(master_seed: int, point_index: int, run_index: int) -> np.random.SeedSequence:
@@ -199,30 +206,23 @@ def _build_channels(scn: Scenario, rng_channel) -> list:
 
 
 class _Tracker:
-    """Per-antenna channel estimation shared by all receivers in a trial."""
+    """Per-antenna blind channel estimation (svd or sg) shared by all
+    receivers in a trial."""
 
     def __init__(self, mode: str, scn: Scenario, c: np.ndarray, true_stacked: np.ndarray):
         self.mode = mode
         self.c = c
         self.true = true_stacked
         self.scn = scn
-        dim = c.shape[0]
         start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
         self.estimate = ChannelEstimate(vector=start, method=mode)
         if mode == "svd":
-            self.cov = CovarianceEstimate(dim, forgetting=scn.cov_forgetting)
-        elif mode == "sg":
-            self.psi = PsiEstimate.from_constraints(
-                c, alpha=scn.psi_forgetting, mu=scn.step_channel
-            )
+            self.cov = CovarianceEstimate(c.shape[0], forgetting=scn.cov_forgetting)
+        else:
+            self.psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
 
     def update(self, y: np.ndarray, block: int) -> np.ndarray:
         """Fold in one observation; return the phase-aligned unit estimate."""
-        true_now = self.true[:, block]
-        if self.mode == "genie":
-            vec = true_now / np.linalg.norm(true_now)
-            self.estimate = ChannelEstimate(vector=vec, method="genie")
-            return vec
         if self.mode == "svd":
             self.cov.update(y)
             if block == 0 or (block + 1) % self.scn.estimator_refresh == 0:
@@ -235,7 +235,7 @@ class _Tracker:
         else:
             self.psi = sg_psi_step(self.psi, y)
             self.estimate = sg_channel_step(self.estimate, self.psi, self.c)
-        return align_phase(self.estimate.vector, true_now)
+        return align_phase(self.estimate.vector, self.true[:, block])
 
 
 def _bit_errors(decided: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -284,6 +284,9 @@ def _run_pair_algorithm(alg, scn, ys, ests, truth, cm):
     symbols = truth.reshape(nblocks, 2)
     pp = projection_pair(cm)
     dim = cm.block_dim
+    sg = alg in ("ccm-sg", "cmv-sg")
+    sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
+    mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
     if alg == "trained-lms":
         pairs = [
             FilterPair(w=np.zeros(dim, complex), wbar=np.zeros(dim, complex))
@@ -303,16 +306,18 @@ def _run_pair_algorithm(alg, scn, ys, ests, truth, cm):
         outputs[i] = zs
         if diverged:
             continue
+        if sg and i % _CHUNK == 0:
+            chunk = slice(i, i + _CHUNK)
+            offsets = [np.moveaxis(constraint_offsets(pp, h[:, chunk], scn.nu), 2, 0) for h in ests]
         for m in range(nrx):
             y = ys[m][:, i]
             h = ests[m][:, i] if ests else None
             # Steps replace the filter arrays rather than write into them.
             before = FilterPair(w=pairs[m].w, wbar=pairs[m].wbar)
             try:
-                if alg in ("ccm-sg", "cmv-sg"):
-                    sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
-                    mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
-                    sg_step(pairs[m], pp, y, h, scn.nu, mu, scn.normalize_steps, outputs=zs[m])
+                if sg:
+                    off = offsets[m][i % _CHUNK]
+                    sg_step(pairs[m], pp, y, h, scn.nu, mu, scn.normalize_steps, zs[m], off)
                 elif alg == "trained-lms":
                     pairs[m].w = trained_lms_step(pairs[m].w, y, symbols[i, 0], scn.step_lms)
                     pairs[m].wbar = trained_lms_step(pairs[m].wbar, y, symbols[i, 1], scn.step_lms)
@@ -343,6 +348,7 @@ def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
     pi = constraint_projector(conv)
     restore = constraint_restorer(conv)
     dim = conv.shape[0]
+    sg = alg in ("ccm-sg", "cmv-sg")
     if alg == "trained-lms":
         ws = [np.zeros(dim, complex) for _ in range(nrx)]
     else:
@@ -360,15 +366,18 @@ def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
         outputs[t] = zs
         if diverged:
             continue
+        if sg and t % (2 * _CHUNK) == 0:
+            chunk = slice(block, block + _CHUNK)
+            offsets = [(restore @ (scn.nu * h[:, chunk])).T for h in ests]
         for m in range(nrx):
             y = ys[m][:, t]
             h = ests[m][:, block] if ests else None
             w_before = ws[m]
             try:
-                if alg in ("ccm-sg", "cmv-sg"):
+                if sg:
                     zc = zs[m]
                     g = scn.step_ccm * (abs(zc) ** 2 - 1.0) if alg == "ccm-sg" else scn.step_cmv
-                    ws[m] = pi @ (ws[m] - g * np.conj(zc) * y) + restore @ (scn.nu * h)
+                    ws[m] = pi @ (ws[m] - g * np.conj(zc) * y) + offsets[m][block % _CHUNK]
                 elif alg == "trained-lms":
                     ws[m] = trained_lms_step(ws[m], y, truth[t], scn.step_lms)
                 elif alg == "ccm-exact":
@@ -410,9 +419,7 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         for ch in channels
     ]
     result = TrialResult(seed_key=tuple(np.atleast_1d(ss.entropy)))
-    need_tracking = any(a != "trained-lms" for a in scn.algorithms) or (
-        scn.channel_estimator in ("svd", "sg")
-    )
+    need_tracking = scn.channel_estimator != "genie" or any(a != "trained-lms" for a in scn.algorithms)
     if scn.tx_antennas == 2:
         cm = user_constraint_matrices(spreading, 0, scn.n_paths)
         c_for_est = cm.odd
@@ -421,17 +428,16 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         c_for_est = conv
     ests = []
     tracking_diverged = False
-    if need_tracking:
+    if need_tracking and scn.channel_estimator == "genie":
+        ests = [s / np.linalg.norm(s, axis=0) for s in (ch.stacked for ch in channels)]
+    elif need_tracking:
         mse_per_antenna = []
         for m, ch in enumerate(channels):
             tracker = _Tracker(scn.channel_estimator, scn, c_for_est, ch.stacked)
             trace = np.empty((c_for_est.shape[1], scn.blocks), dtype=complex)
-            # One-antenna svd and sg trackers fold in every symbol; the genie
-            # reads only the true channel, so it runs once per block.
-            if scn.tx_antennas == 2 or scn.channel_estimator == "genie":
-                observations = ((i, ys[m][:, i]) for i in range(scn.blocks))
-            else:
-                observations = ((t // 2, ys[m][:, t]) for t in range(ys[m].shape[1]))
+            # One-antenna trackers fold in every symbol, two per block.
+            per_block = ys[m].shape[1] // scn.blocks
+            observations = ((t // per_block, ys[m][:, t]) for t in range(ys[m].shape[1]))
             frozen = None
             for block, y in observations:
                 if frozen is None:
@@ -439,19 +445,16 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
                         vec = tracker.update(y, block)
                     except (StepSizeError, ArithmeticError):
                         tracking_diverged = True
-                        frozen = align_phase(tracker.estimate.vector, ch.stacked[:, block])
+                        frozen = align_phase(tracker.estimate.vector, tracker.true[:, block])
                         vec = frozen
                 else:
-                    vec = align_phase(frozen, ch.stacked[:, block])
+                    vec = align_phase(frozen, tracker.true[:, block])
                 trace[:, block] = vec
             ests.append(trace)
             mse_per_antenna.append(channel_mse(trace, ch.stacked))
-        if scn.channel_estimator in ("svd", "sg"):
-            mse_blocks = np.mean(mse_per_antenna, axis=0)
-            result.channel_mse[f"channel-{scn.channel_estimator}"] = np.repeat(
-                mse_blocks, 2
-            )
-            result.diverged[f"channel-{scn.channel_estimator}"] = tracking_diverged
+        mse_blocks = np.mean(mse_per_antenna, axis=0)
+        result.channel_mse[f"channel-{scn.channel_estimator}"] = np.repeat(mse_blocks, 2)
+        result.diverged[f"channel-{scn.channel_estimator}"] = tracking_diverged
     truth = streams[0].symbols
     for alg in scn.algorithms:
         if scn.tx_antennas == 2:

@@ -30,6 +30,7 @@ __all__ = [
     "ProjectionPair",
     "projection_pair",
     "min_norm_feasible_pair",
+    "constraint_offsets",
     "CcmStatistics",
     "ccm_exact_filter",
     "cmv_exact_filter",
@@ -69,21 +70,29 @@ def constraint_restorer(c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProjectionPair:
-    """Cached constraint operators for both branches of a filter pair."""
+    """Cached constraint operators for both branches of a filter pair.
 
-    pi: np.ndarray
-    pibar: np.ndarray
+    ``projectors`` stacks (pi, pibar) so one product updates both branches.
+    """
+
+    projectors: np.ndarray
     restore: np.ndarray
     restorebar: np.ndarray
 
 
 def projection_pair(cm: ConstraintMatrices) -> ProjectionPair:
     return ProjectionPair(
-        pi=constraint_projector(cm.odd),
-        pibar=constraint_projector(cm.even),
+        projectors=np.stack((constraint_projector(cm.odd), constraint_projector(cm.even))),
         restore=constraint_restorer(cm.odd),
         restorebar=constraint_restorer(cm.even),
     )
+
+
+def constraint_offsets(pp: ProjectionPair, h: np.ndarray, nu: float = 1.0) -> np.ndarray:
+    """Minimum-norm points of both constraint sets, (restore nu h,
+    restorebar nu conj(h)): (2, dim) for one stacked channel (2L,), or
+    (2, dim, k) for k of them as columns (2L, k)."""
+    return np.stack((pp.restore @ (nu * h), pp.restorebar @ (nu * np.conj(h))))
 
 
 @dataclass
@@ -97,14 +106,9 @@ class FilterPair:
         return np.vdot(self.w, y), np.vdot(self.wbar, y)
 
 
-def min_norm_feasible_pair(
-    pp: ProjectionPair, h_stacked: np.ndarray, nu: float = 1.0
-) -> FilterPair:
+def min_norm_feasible_pair(pp: ProjectionPair, h_stacked: np.ndarray, nu: float = 1.0) -> FilterPair:
     """Smallest-norm filter pair satisfying both constraint sets."""
-    return FilterPair(
-        w=pp.restore @ (nu * h_stacked),
-        wbar=pp.restorebar @ (nu * np.conj(h_stacked)),
-    )
+    return FilterPair(*constraint_offsets(pp, h_stacked, nu))
 
 
 @dataclass
@@ -214,15 +218,15 @@ def cmv_exact_filter(
     return FilterPair(w=w, wbar=wbar)
 
 
-def _sg_branch(
-    w: np.ndarray,
-    pi: np.ndarray,
-    restore: np.ndarray,
-    target: np.ndarray,
-    gradient: np.ndarray,
-    mu: float,
-) -> np.ndarray:
-    return pi @ (w - mu * gradient) + restore @ target
+def _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets):
+    """(w, wbar) <- P ((w, wbar) - g coefs y) + offsets, both branches in one
+    stacked product; g is mu, or mu / (||y||^2 + eps) under ``normalize``."""
+    g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
+    if offsets is None:
+        offsets = constraint_offsets(pp, h_stacked, nu)
+    ws = np.array((fp.w, fp.wbar)) - g * (np.array(coefs)[:, None] * y)
+    fp.w, fp.wbar = (pp.projectors @ ws[:, :, None])[:, :, 0] + offsets
+    return fp
 
 
 def ccm_sg_step(
@@ -234,24 +238,19 @@ def ccm_sg_step(
     mu: float = 1e-3,
     normalize: bool = False,
     outputs: tuple[complex, complex] | None = None,
+    offsets: np.ndarray | None = None,
 ) -> FilterPair:
     """One constant-modulus stochastic-gradient update of both branches.
 
     The sample gradient factor is e conj(z) y with e = |z|^2 - 1 (one quarter
     of the full modulus-cost gradient; the step size absorbs the rest).  With
     ``normalize`` the step is divided by ||y||^2 + eps.  ``outputs`` is the
-    pair's (z, zbar) on y when the caller has already computed it.
+    pair's (z, zbar) on y and ``offsets`` is
+    ``constraint_offsets(pp, h_stacked, nu)``, when the caller has them.
     """
     z, zbar = fp.output(y) if outputs is None else outputs
-    g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
-    e = abs(z) ** 2 - 1.0
-    ebar = abs(zbar) ** 2 - 1.0
-    fp.w = _sg_branch(fp.w, pp.pi, pp.restore, nu * h_stacked, e * np.conj(z) * y, g)
-    fp.wbar = _sg_branch(
-        fp.wbar, pp.pibar, pp.restorebar, nu * np.conj(h_stacked),
-        ebar * np.conj(zbar) * y, g,
-    )
-    return fp
+    coefs = ((abs(z) ** 2 - 1.0) * np.conj(z), (abs(zbar) ** 2 - 1.0) * np.conj(zbar))
+    return _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets)
 
 
 def cmv_sg_step(
@@ -263,16 +262,13 @@ def cmv_sg_step(
     mu: float = 1e-3,
     normalize: bool = False,
     outputs: tuple[complex, complex] | None = None,
+    offsets: np.ndarray | None = None,
 ) -> FilterPair:
     """One output-power stochastic-gradient update of both branches;
-    ``outputs`` is as for :func:`ccm_sg_step`."""
+    ``outputs`` and ``offsets`` are as for :func:`ccm_sg_step`."""
     z, zbar = fp.output(y) if outputs is None else outputs
-    g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
-    fp.w = _sg_branch(fp.w, pp.pi, pp.restore, nu * h_stacked, np.conj(z) * y, g)
-    fp.wbar = _sg_branch(
-        fp.wbar, pp.pibar, pp.restorebar, nu * np.conj(h_stacked), np.conj(zbar) * y, g
-    )
-    return fp
+    coefs = (np.conj(z), np.conj(zbar))
+    return _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets)
 
 
 def trained_lms_step(

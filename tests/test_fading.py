@@ -62,3 +62,30 @@ def test_generator_seed_accepted():
 def test_negative_doppler_rejected():
     with pytest.raises(ValueError):
         clarke_fading_sequence(-0.1, 1, 10, seed=0)
+
+
+def _exp_formula(fd_t, num_taps, length, rng, oscillators=64):
+    """The generator written with one complex exponential per oscillator and
+    sample, drawing from `rng` in the generator's order."""
+    t = np.arange(length)
+    base = 2.0 * np.pi * (np.arange(oscillators) + 0.5) / oscillators
+    out = np.empty((num_taps, length), dtype=complex)
+    for tap in range(num_taps):
+        angles = base + rng.uniform(0.0, 2.0 * np.pi)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=oscillators)
+        doppler = 2.0 * np.pi * fd_t * np.cos(angles)
+        out[tap] = np.exp(1j * (doppler[:, None] * t + phases[:, None])).sum(0) / np.sqrt(oscillators)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fd_t,num_taps,length,seed",
+    [(0.0, 1, 5, 0), (0.001, 3, 1500, 11), (0.0005, 6, 3000, 12), (0.05, 2, 257, 13)],
+)
+def test_matches_complex_exponential_formula_and_draw_order(fd_t, num_taps, length, seed):
+    rng_oracle = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    oracle = _exp_formula(fd_t, num_taps, length, rng_oracle)
+    taps = clarke_fading_sequence(fd_t, num_taps, length, seed=rng)
+    assert np.max(np.abs(taps - oracle)) < 1e-14
+    assert rng.random() == rng_oracle.random()

@@ -161,6 +161,86 @@ def test_filter_below_limit_keeps_adapting(monkeypatch, tx):
     assert len(calls) == 200
 
 
+def _poison_sg(monkeypatch, name, call, branch, value):
+    """Make the given call of harness.<name> (an sg step, which replaces the
+    pair's arrays) leave `value` in one branch of the filter pair."""
+    real = getattr(harness, name)
+    calls = []
+
+    def step(fp, *args, **kwargs):
+        calls.append(None)
+        fp = real(fp, *args, **kwargs)
+        if len(calls) == call + 1:
+            bad = getattr(fp, branch).copy()
+            bad[0] = value
+            setattr(fp, branch, bad)
+        return fp
+
+    monkeypatch.setattr(harness, name, step)
+    return calls
+
+
+def _freeze_sg(monkeypatch, name, call):
+    """Make harness.<name> leave the filter pair as it is from the given call on."""
+    real = getattr(harness, name)
+    calls = []
+
+    def step(fp, *args, **kwargs):
+        calls.append(None)
+        return real(fp, *args, **kwargs) if len(calls) <= call else fp
+
+    monkeypatch.setattr(harness, name, step)
+
+
+SG_STEPS = [("ccm_sg_step", "ccm-sg"), ("cmv_sg_step", "cmv-sg")]
+
+
+# A pair is checked once both branches are updated; on a bad branch the block's
+# step is undone, so the rest of the packet runs on the pair from before it.
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
+@pytest.mark.parametrize("branch", ["w", "wbar"])
+@pytest.mark.parametrize("name,alg", SG_STEPS, ids=["ccm", "cmv"])
+def test_bad_sg_filter_stops_adaptation_at_that_block(monkeypatch, name, alg, branch, value):
+    scn = _tiny_scenario(algorithms=(alg,))
+    with monkeypatch.context() as mp:
+        _freeze_sg(mp, name, 20)
+        frozen = run_trial(scn, 3)
+    calls = _poison_sg(monkeypatch, name, 20, branch, value)
+    tr = run_trial(scn, 3)
+    assert tr.diverged[alg]
+    assert len(calls) == 21
+    assert not frozen.diverged[alg]
+    assert np.array_equal(tr.bit_errors[alg], frozen.bit_errors[alg])
+
+
+# ccm's gradient is cubic in the output, so a 5e5 filter blows up on the next
+# block by itself; its control sits on the last block.
+@pytest.mark.parametrize("branch", ["w", "wbar"])
+@pytest.mark.parametrize(
+    "name,alg,call", [("ccm_sg_step", "ccm-sg", 99), ("cmv_sg_step", "cmv-sg", 20)], ids=["ccm", "cmv"]
+)
+def test_sg_filter_below_limit_keeps_adapting(monkeypatch, name, alg, call, branch):
+    calls = _poison_sg(monkeypatch, name, call, branch, 5e5)
+    tr = run_trial(_tiny_scenario(algorithms=(alg,)), 3)
+    assert not tr.diverged[alg]
+    assert len(calls) == 100
+
+
+def test_sg_steps_run_once_per_block_per_receive_antenna(monkeypatch):
+    counts = {}
+    for name, _ in SG_STEPS:
+        real = getattr(harness, name)
+
+        def step(*args, _name=name, _real=real, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, step)
+    tr = run_trial(_tiny_scenario(algorithms=("ccm-sg", "cmv-sg"), rx_antennas=2), 3)
+    assert not any(tr.diverged.values())
+    assert counts == {"ccm_sg_step": 100 * 2, "cmv_sg_step": 100 * 2}
+
+
 # At 0 dB the two antennas' output energies differ enough for mrc and egc to
 # decide some symbols differently; at 6 dB seed 1 both make the same errors.
 @pytest.mark.parametrize("tx", [1, 2])
@@ -183,7 +263,9 @@ def test_two_receive_antennas_under_both_combiners(tx):
 # seeds): the LMS step is not normalized, and in these trials step_lms times
 # the post-surge input power exceeds 2.  This pins behaviour, not a fix: only
 # trained-lms diverges and every error series keeps its full length.
-@pytest.mark.parametrize("seed", [(31, 0, 9), (202, 0, 2)], ids=["seed31-run9", "seed202-run2"])
+@pytest.mark.parametrize(
+    "seed", [(31, 0, 9), (202, 0, 2), (312, 0, 0)], ids=["seed31-run9", "seed202-run2", "seed312-run0"]
+)
 def test_load_surge_known_lms_divergences(seed):
     scn = parse_scenario_file(os.path.join(CONFIGS, "load_surge.cfg"))
     tr = run_trial(scn, trial_seed(*seed))

@@ -16,6 +16,7 @@ from stcdma.receivers import (
     cmv_sg_step,
     combine,
     constrained_quadratic_filter,
+    constraint_offsets,
     constraint_projector,
     constraint_restorer,
     detect,
@@ -170,10 +171,34 @@ def test_sg_step_with_given_outputs_matches_recomputed(step):
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     fp = min_norm_feasible_pair(pp, h, 1.2)
     given = FilterPair(w=fp.w, wbar=fp.wbar)
+    offered = FilterPair(w=fp.w, wbar=fp.wbar)
     step(fp, pp, y, h, nu=1.2, mu=1e-2, normalize=True)
     step(given, pp, y, h, nu=1.2, mu=1e-2, normalize=True, outputs=given.output(y))
-    assert np.array_equal(fp.w, given.w)
-    assert np.array_equal(fp.wbar, given.wbar)
+    # Given offsets stand in for the channel, which is then not read.
+    offsets = constraint_offsets(pp, h, 1.2)
+    step(offered, pp, y, None, nu=1.2, mu=1e-2, normalize=True, offsets=offsets)
+    for other in (given, offered):
+        assert np.array_equal(fp.w, other.w)
+        assert np.array_equal(fp.wbar, other.wbar)
+
+
+def test_constraint_offsets_per_column_match_single_channels():
+    rng, cm, pp, h = _feasible_setup(13)
+    hs = rng.standard_normal((h.size, 5)) + 1j * rng.standard_normal((h.size, 5))
+    block = constraint_offsets(pp, hs, 1.4)
+    assert block.shape == (2, cm.block_dim, 5)
+    for k in range(5):
+        one = constraint_offsets(pp, hs[:, k], 1.4)
+        assert np.max(np.abs(block[:, :, k] - one)) < 1e-13
+        assert np.max(np.abs(cm.odd.conj().T @ one[0] - 1.4 * hs[:, k])) < 1e-12
+        assert np.max(np.abs(cm.even.conj().T @ one[1] - 1.4 * np.conj(hs[:, k]))) < 1e-12
+
+
+def test_projection_pair_stacks_both_projectors():
+    _, cm, pp, _ = _feasible_setup(14)
+    assert pp.projectors.shape == (2, cm.block_dim, cm.block_dim)
+    assert np.array_equal(pp.projectors[0], constraint_projector(cm.odd))
+    assert np.array_equal(pp.projectors[1], constraint_projector(cm.even))
 
 
 def test_ccm_step_moves_along_projected_gradient():
@@ -185,7 +210,7 @@ def test_ccm_step_moves_along_projected_gradient():
     z = np.vdot(w_before, y)
     mu = 1e-3
     ccm_sg_step(fp, pp, y, h, nu=1.0, mu=mu)
-    expected = w_before - mu * pp.pi @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
+    expected = w_before - mu * pp.projectors[0] @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
     assert np.max(np.abs(fp.w - expected)) < 1e-12
 
 

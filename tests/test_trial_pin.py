@@ -2,7 +2,9 @@
 
 A small matrix of short trials covers one and two transmit antennas, one
 receive antenna and two under both combiners, all five algorithms, and the
-genie, svd and sg channel estimators.  Each trial's per-algorithm bit-error
+genie, svd and sg channel estimators.  Two more trials set
+``normalize_steps``, as ``configs/load_surge.cfg`` does; the one-antenna path
+ignores the flag today, and its case pins that.  Each trial's per-algorithm bit-error
 array and divergence flags hash to one digest, stored in
 ``trial_pin.json`` next to this file.  A refactor of the receiver loops must
 leave every digest unchanged.
@@ -26,14 +28,14 @@ from stcdma.scenario import ALGORITHMS, Scenario
 PIN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "trial_pin.json")
 RECEIVE = (("1rx", 1, "mrc"), ("2rx-mrc", 2, "mrc"), ("2rx-egc", 2, "egc"))
 CASES = [
-    (f"{tx}tx-{rx_name}-{estimator}", tx, rx, combiner, estimator)
+    (f"{tx}tx-{rx_name}-{estimator}", tx, rx, combiner, estimator, False)
     for tx in (1, 2)
     for rx_name, rx, combiner in RECEIVE
     for estimator in ("genie", "svd", "sg")
-]
+] + [(f"{tx}tx-1rx-svd-normalized", tx, 1, "mrc", "svd", True) for tx in (1, 2)]
 
 
-def _scenario(tx, rx, combiner, estimator):
+def _scenario(tx, rx, combiner, estimator, normalize):
     return Scenario(
         gain=8,
         users=3,
@@ -53,6 +55,7 @@ def _scenario(tx, rx, combiner, estimator):
         step_lms=0.01,
         cov_forgetting=0.98,
         ber_skip=50,
+        normalize_steps=normalize,
     ).validate()
 
 
@@ -66,8 +69,8 @@ def _digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-def _trial_digest(tx, rx, combiner, estimator) -> str:
-    scn = _scenario(tx, rx, combiner, estimator)
+def _trial_digest(tx, rx, combiner, estimator, normalize) -> str:
+    scn = _scenario(tx, rx, combiner, estimator, normalize)
     return _digest(run_trial(scn, trial_seed(scn.master_seed, tx, rx)))
 
 
@@ -76,9 +79,9 @@ def _pinned():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name,tx,rx,combiner,estimator", CASES, ids=[c[0] for c in CASES])
-def test_trial_outputs_match_pinned_digest(name, tx, rx, combiner, estimator):
-    assert _trial_digest(tx, rx, combiner, estimator) == _pinned()[name]
+@pytest.mark.parametrize("name,tx,rx,combiner,estimator,normalize", CASES, ids=[c[0] for c in CASES])
+def test_trial_outputs_match_pinned_digest(name, tx, rx, combiner, estimator, normalize):
+    assert _trial_digest(tx, rx, combiner, estimator, normalize) == _pinned()[name]
 
 
 def test_pin_covers_every_case():
