@@ -7,12 +7,15 @@ trials never perturbs existing ones.  Channel estimates are computed once per
 trial (they depend only on the received data) and shared by every receiver
 that consumes them; blind estimates are phase-aligned to the true channel
 before use, the usual pilot-equivalent resolution of the blind phase
-ambiguity, consistent with the phase-aligned error metric.  Each receiver's
-per-block loop only adapts and records its filter outputs; combining,
-detection and bit-error scoring then run once per packet on the recording.
-Work that does not depend on the adapting filter is done ahead of it: the
-genie channel for the whole packet at once, the sg constraint offsets 256
-blocks at a time.  Not for the whole packet, because memory binds: one
+ambiguity, consistent with the phase-aligned error metric.  One loop adapts
+every receiver on both antenna counts: a receiver is a list of constrained
+branches, two per block with two transmit antennas and one per symbol with
+one, and each observation column is one step of every branch.  The loop
+only adapts and records the branches' filter outputs; combining, detection
+and bit-error scoring then run once per packet on the recording.  Work that
+does not depend on the adapting filter is done ahead of it: the genie
+channel for the whole packet at once, the sg constraint offsets 256 blocks
+at a time.  Not for the whole packet, because memory binds: one
 packet's observations take 3.3 MB at gain 32 and 6000 symbols, so running a
 point's trials in lockstep would hold that many packets at once.
 """
@@ -39,10 +42,8 @@ from .errors import StepSizeError
 from .receivers import (
     CcmStatistics,
     CombinerGains,
-    FilterPair,
-    ccm_exact_filter,
+    branch_channels,
     ccm_sg_step,
-    cmv_exact_filter,
     cmv_sg_step,
     combine,
     constrained_quadratic_filter,
@@ -50,8 +51,6 @@ from .receivers import (
     constraint_projector,
     constraint_restorer,
     detect,
-    min_norm_feasible_pair,
-    projection_pair,
     trained_lms_step,
 )
 from .scenario import Scenario
@@ -246,14 +245,12 @@ def _bit_errors(decided: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.ndarray:
     """Per-symbol bit errors of a packet, scored once from its recorded
-    filter outputs: (blocks, rx, 2) with two transmit antennas, (symbols, rx)
-    with one.
+    (steps, rx, branches) filter outputs.
 
     Equal gains apply with ``egc`` or one receive antenna.  ``mrc`` weighs
     each slot by the antennas' output energies, a 0.99 IIR over the slots
     before it that starts at 1.
     """
-    outputs = outputs.reshape(outputs.shape[0], outputs.shape[1], -1)
     nrx = outputs.shape[1]
     if combiner == "egc" or nrx == 1:
         z = combine(outputs.transpose(1, 0, 2), CombinerGains.equal(nrx))
@@ -274,130 +271,83 @@ def _bounded(w: np.ndarray) -> bool:
     return np.vdot(w, w).real < _FILTER_LIMIT**2
 
 
-def _run_pair_algorithm(alg, scn, ys, ests, truth, cm):
-    """Adapt one receiver algorithm over a whole two-antenna-coded packet.
+def _exact_filters(moments, cs, h, scn):
+    """Every branch's closed-form filter from its moments (R_b, d_b), on
+    C_b^H w = nu H_b."""
+    return [
+        constrained_quadratic_filter(r, d, c, scn.nu * hb, scn.ridge)
+        for (r, d), c, hb in zip(moments, cs, branch_channels(h))
+    ]
 
-    Returns the (blocks, rx, 2) filter outputs and whether it diverged.
+
+def _adapt(alg, scn, ys, ests, truth, cs):
+    """Adapt one receiver algorithm over a whole packet.
+
+    ``cs`` holds the branches' constraint matrices, (C, Cbar) with two
+    transmit antennas and (conv,) with one.  Every observation column is one
+    step for every branch: a block with two transmit antennas, a symbol with
+    one.  Returns the (steps, rx, branches) filter outputs and whether the
+    receiver diverged.
     """
     nrx = len(ys)
-    nblocks = ys[0].shape[1]
-    symbols = truth.reshape(nblocks, 2)
-    pp = projection_pair(cm)
-    dim = cm.block_dim
+    nsteps = ys[0].shape[1]
+    nb = len(cs)
+    per_block = nsteps // scn.blocks
+    symbols = truth.reshape(nsteps, nb)
+    dim = cs[0].shape[0]
     sg = alg in ("ccm-sg", "cmv-sg")
-    sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
-    mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
+    if sg:
+        projectors = [constraint_projector(c) for c in cs]
+        sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
+        mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
     if alg == "trained-lms":
-        pairs = [
-            FilterPair(w=np.zeros(dim, complex), wbar=np.zeros(dim, complex))
-            for _ in range(nrx)
-        ]
+        ws = [[np.zeros(dim, complex)] * nb for _ in range(nrx)]
     else:
-        pairs = [min_norm_feasible_pair(pp, ests[m][:, 0], scn.nu) for m in range(nrx)]
-    stats = None
+        restorers = [constraint_restorer(c) for c in cs]
+        ws = [list(constraint_offsets(restorers, est[:, 0], scn.nu)) for est in ests]
     if alg == "ccm-exact":
-        stats = [CcmStatistics(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
+        stats = [CcmStatistics(dim, nb, scn.cov_forgetting) for _ in range(nrx)]
     elif alg == "cmv-exact":
         stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-    outputs = np.empty((nblocks, nrx, 2), dtype=complex)
+        zero = np.zeros(dim, complex)
+    refresh = per_block * scn.filter_refresh
+    outputs = np.empty((nsteps, nrx, nb), dtype=complex)
     diverged = False
-    for i in range(nblocks):
-        zs = [pairs[m].output(ys[m][:, i]) for m in range(nrx)]
-        outputs[i] = zs
-        if diverged:
-            continue
-        if sg and i % _CHUNK == 0:
-            chunk = slice(i, i + _CHUNK)
-            offsets = [np.moveaxis(constraint_offsets(pp, h[:, chunk], scn.nu), 2, 0) for h in ests]
-        for m in range(nrx):
-            y = ys[m][:, i]
-            h = ests[m][:, i] if ests else None
-            # Steps replace the filter arrays rather than write into them.
-            before = FilterPair(w=pairs[m].w, wbar=pairs[m].wbar)
-            try:
-                if sg:
-                    off = offsets[m][i % _CHUNK]
-                    sg_step(pairs[m], pp, y, h, scn.nu, mu, scn.normalize_steps, zs[m], off)
-                elif alg == "trained-lms":
-                    pairs[m].w = trained_lms_step(pairs[m].w, y, symbols[i, 0], scn.step_lms)
-                    pairs[m].wbar = trained_lms_step(pairs[m].wbar, y, symbols[i, 1], scn.step_lms)
-                elif alg == "ccm-exact":
-                    stats[m].update(y, *zs[m])
-                    if (i + 1) % scn.filter_refresh == 0:
-                        pairs[m] = ccm_exact_filter(stats[m], cm, h, scn.nu, scn.ridge)
-                elif alg == "cmv-exact":
-                    stats[m].update(y)
-                    if (i + 1) % scn.filter_refresh == 0:
-                        pairs[m] = cmv_exact_filter(stats[m].matrix, cm, h, scn.nu, scn.ridge)
-                if not (_bounded(pairs[m].w) and _bounded(pairs[m].wbar)):
-                    raise ArithmeticError("filter norm out of bounds")
-            except (StepSizeError, np.linalg.LinAlgError, ArithmeticError):
-                pairs[m] = before
-                diverged = True
-                break
-    return outputs, diverged
-
-
-def _run_single_algorithm(alg, scn, ys, ests, truth, conv):
-    """Adapt one receiver algorithm for the single-transmit-antenna system.
-
-    Returns the (symbols, rx) filter outputs and whether it diverged.
-    """
-    nrx = len(ys)
-    nsym = ys[0].shape[1]
-    pi = constraint_projector(conv)
-    restore = constraint_restorer(conv)
-    dim = conv.shape[0]
-    sg = alg in ("ccm-sg", "cmv-sg")
-    if alg == "trained-lms":
-        ws = [np.zeros(dim, complex) for _ in range(nrx)]
-    else:
-        ws = [restore @ (scn.nu * ests[m][:, 0]) for m in range(nrx)]
-    stats = None
-    if alg == "ccm-exact":
-        stats = [CcmStatistics(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-    elif alg == "cmv-exact":
-        stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-    outputs = np.empty((nsym, nrx), dtype=complex)
-    diverged = False
-    for t in range(nsym):
-        block = t // 2
-        zs = [np.vdot(ws[m], ys[m][:, t]) for m in range(nrx)]
-        outputs[t] = zs
-        if diverged:
-            continue
-        if sg and t % (2 * _CHUNK) == 0:
+    for t in range(nsteps):
+        block = t // per_block
+        if sg and not diverged and t % (per_block * _CHUNK) == 0:
             chunk = slice(block, block + _CHUNK)
-            offsets = [(restore @ (scn.nu * h[:, chunk])).T for h in ests]
+            offsets = [np.moveaxis(constraint_offsets(restorers, h[:, chunk], scn.nu), 2, 0) for h in ests]
         for m in range(nrx):
             y = ys[m][:, t]
-            h = ests[m][:, block] if ests else None
-            w_before = ws[m]
+            zs = [np.vdot(wb, y) for wb in ws[m]]
+            outputs[t, m] = zs
+            if diverged:
+                continue
             try:
                 if sg:
-                    zc = zs[m]
-                    g = scn.step_ccm * (abs(zc) ** 2 - 1.0) if alg == "ccm-sg" else scn.step_cmv
-                    ws[m] = pi @ (ws[m] - g * np.conj(zc) * y) + offsets[m][block % _CHUNK]
+                    off = offsets[m][block % _CHUNK]
+                    w = sg_step(ws[m], projectors, y, off, mu, scn.normalize_steps, zs)
                 elif alg == "trained-lms":
-                    ws[m] = trained_lms_step(ws[m], y, truth[t], scn.step_lms)
+                    w = trained_lms_step(ws[m], y, symbols[t], scn.step_lms, zs)
                 elif alg == "ccm-exact":
-                    stats[m].update(y, zs[m], zs[m])
-                    if (t + 1) % (2 * scn.filter_refresh) == 0:
-                        ws[m] = constrained_quadratic_filter(
-                            stats[m].r, stats[m].d, conv, scn.nu * h, scn.ridge
-                        )
-                elif alg == "cmv-exact":
+                    stats[m].update(y, zs)
+                    w = ws[m]
+                    if (t + 1) % refresh == 0:
+                        moments = zip(stats[m].r, stats[m].d)
+                        w = _exact_filters(moments, cs, ests[m][:, block], scn)
+                else:
                     stats[m].update(y)
-                    if (t + 1) % (2 * scn.filter_refresh) == 0:
-                        ws[m] = constrained_quadratic_filter(
-                            stats[m].matrix, np.zeros(dim, complex), conv, scn.nu * h, scn.ridge
-                        )
-                if not _bounded(ws[m]):
+                    w = ws[m]
+                    if (t + 1) % refresh == 0:
+                        moments = [(stats[m].matrix, zero)] * nb
+                        w = _exact_filters(moments, cs, ests[m][:, block], scn)
+                if not all(map(_bounded, w)):
                     raise ArithmeticError("filter norm out of bounds")
             except (StepSizeError, np.linalg.LinAlgError, ArithmeticError):
-                ws[m] = w_before
                 diverged = True
-                break
+            else:
+                ws[m] = w
     return outputs, diverged
 
 
@@ -422,10 +372,9 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
     need_tracking = scn.channel_estimator != "genie" or any(a != "trained-lms" for a in scn.algorithms)
     if scn.tx_antennas == 2:
         cm = user_constraint_matrices(spreading, 0, scn.n_paths)
-        c_for_est = cm.odd
+        cs = (cm.odd, cm.even)
     else:
-        conv = build_convolution_matrix(spreading.code(0, 0), scn.n_paths)
-        c_for_est = conv
+        cs = (build_convolution_matrix(spreading.code(0, 0), scn.n_paths),)
     ests = []
     tracking_diverged = False
     if need_tracking and scn.channel_estimator == "genie":
@@ -433,8 +382,8 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
     elif need_tracking:
         mse_per_antenna = []
         for m, ch in enumerate(channels):
-            tracker = _Tracker(scn.channel_estimator, scn, c_for_est, ch.stacked)
-            trace = np.empty((c_for_est.shape[1], scn.blocks), dtype=complex)
+            tracker = _Tracker(scn.channel_estimator, scn, cs[0], ch.stacked)
+            trace = np.empty((cs[0].shape[1], scn.blocks), dtype=complex)
             # One-antenna trackers fold in every symbol, two per block.
             per_block = ys[m].shape[1] // scn.blocks
             observations = ((t // per_block, ys[m][:, t]) for t in range(ys[m].shape[1]))
@@ -457,10 +406,7 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         result.diverged[f"channel-{scn.channel_estimator}"] = tracking_diverged
     truth = streams[0].symbols
     for alg in scn.algorithms:
-        if scn.tx_antennas == 2:
-            outputs, diverged = _run_pair_algorithm(alg, scn, ys, ests, truth, cm)
-        else:
-            outputs, diverged = _run_single_algorithm(alg, scn, ys, ests, truth, conv)
+        outputs, diverged = _adapt(alg, scn, ys, ests, truth, cs)
         result.bit_errors[alg] = _packet_errors(outputs, truth, scn.combiner)
         result.diverged[alg] = diverged
     return result

@@ -1,11 +1,14 @@
-"""Linearly constrained multiuser receivers for the two-slot block model.
+"""Linearly constrained multiuser receivers, built from constrained branches.
 
-Every receiver is a pair of length-2M filters (w, wbar): w recovers a block's
-first symbol and is held on the affine set C^H w = nu * H, wbar recovers the
-second symbol on Cbar^H wbar = nu * conj(H), where (C, Cbar) are the desired
-user's code-structure matrices and H is the (estimated) stacked channel.
+A receiver is one length-dim filter per branch, and every branch b is held on
+its own affine set C_b^H w_b = nu * H_b, where C_b is a constraint matrix of
+the desired user and H_b the (estimated) stacked channel.  With two transmit
+antennas the Alamouti code gives two branches per block: (C, nu H) recovers
+the block's first symbol and (Cbar, nu conj(H)) its second.  With one
+transmit antenna there is one branch per symbol, (conv, nu H), with conv the
+code's convolution matrix.
 
-Exact filters minimize a quadratic surrogate subject to those constraints:
+Exact filters minimize a quadratic surrogate subject to a branch's constraints:
 
   * constant-modulus variant:  w = R^-1 [d - C (C^H R^-1 C)^-1 (C^H R^-1 d - nu H)]
     with the modulus-weighted moments R = E[|z|^2 y y^H], d = E[conj(z) y];
@@ -14,6 +17,7 @@ Exact filters minimize a quadratic surrogate subject to those constraints:
 Stochastic-gradient steps combine an oblique projection onto the constraint
 null space with re-imposition of the constraint offset each iteration, so the
 constraint holds exactly at every step regardless of the gradient noise.
+The steps take and return a sequence of per-branch filters.
 """
 
 from __future__ import annotations
@@ -23,17 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, SingularConstraintError
-from .spreading import ConstraintMatrices
 
 __all__ = [
-    "FilterPair",
-    "ProjectionPair",
-    "projection_pair",
-    "min_norm_feasible_pair",
+    "branch_channels",
     "constraint_offsets",
     "CcmStatistics",
-    "ccm_exact_filter",
-    "cmv_exact_filter",
     "ccm_sg_step",
     "cmv_sg_step",
     "trained_lms_step",
@@ -68,78 +66,46 @@ def constraint_restorer(c: np.ndarray) -> np.ndarray:
     return c @ _gram_solve(c, np.eye(c.shape[1], dtype=complex))
 
 
-@dataclass
-class ProjectionPair:
-    """Cached constraint operators for both branches of a filter pair.
-
-    ``projectors`` stacks (pi, pibar) so one product updates both branches.
-    """
-
-    projectors: np.ndarray
-    restore: np.ndarray
-    restorebar: np.ndarray
+def branch_channels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The channel H_b each branch's constraint holds: H_0 = H and, for the
+    second Alamouti branch, H_1 = conj(H).  Zipped with a receiver's branches,
+    a one-branch receiver takes H_0 only."""
+    return h, np.conj(h)
 
 
-def projection_pair(cm: ConstraintMatrices) -> ProjectionPair:
-    return ProjectionPair(
-        projectors=np.stack((constraint_projector(cm.odd), constraint_projector(cm.even))),
-        restore=constraint_restorer(cm.odd),
-        restorebar=constraint_restorer(cm.even),
-    )
-
-
-def constraint_offsets(pp: ProjectionPair, h: np.ndarray, nu: float = 1.0) -> np.ndarray:
-    """Minimum-norm points of both constraint sets, (restore nu h,
-    restorebar nu conj(h)): (2, dim) for one stacked channel (2L,), or
-    (2, dim, k) for k of them as columns (2L, k)."""
-    return np.stack((pp.restore @ (nu * h), pp.restorebar @ (nu * np.conj(h))))
-
-
-@dataclass
-class FilterPair:
-    """The two linear filters detecting a block's symbol pair."""
-
-    w: np.ndarray
-    wbar: np.ndarray
-
-    def output(self, y: np.ndarray) -> tuple[complex, complex]:
-        return np.vdot(self.w, y), np.vdot(self.wbar, y)
-
-
-def min_norm_feasible_pair(pp: ProjectionPair, h_stacked: np.ndarray, nu: float = 1.0) -> FilterPair:
-    """Smallest-norm filter pair satisfying both constraint sets."""
-    return FilterPair(*constraint_offsets(pp, h_stacked, nu))
+def constraint_offsets(restorers, h: np.ndarray, nu: float = 1.0) -> np.ndarray:
+    """Minimum-norm points of the branches' constraint sets, restorer_b
+    (nu H_b): (branches, dim) for one stacked channel (2L,), or
+    (branches, dim, k) for k of them as columns (2L, k)."""
+    return np.stack([r @ (nu * hb) for r, hb in zip(restorers, branch_channels(h))])
 
 
 @dataclass
 class CcmStatistics:
-    """Exponentially weighted modulus moments for both branches.
+    """Exponentially weighted modulus moments, one set per branch.
 
-    Tracks S = sum lambda^(age) |z|^2 y y^H and its weight so the normalized
-    moment is available at any time without start-up bias.
+    Tracks S_b = sum lambda^(age) |z_b|^2 y y^H and T_b = sum lambda^(age)
+    conj(z_b) y, stacked over branches, and their common weight so the
+    normalized moments are available at any time without start-up bias.
     """
 
     dim: int
+    branches: int
     forgetting: float = 0.998
     s: np.ndarray = field(init=False)
-    sbar: np.ndarray = field(init=False)
     t: np.ndarray = field(init=False)
-    tbar: np.ndarray = field(init=False)
     weight: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.s = np.zeros((self.dim, self.dim), dtype=complex)
-        self.sbar = np.zeros((self.dim, self.dim), dtype=complex)
-        self.t = np.zeros(self.dim, dtype=complex)
-        self.tbar = np.zeros(self.dim, dtype=complex)
+        self.s = np.zeros((self.branches, self.dim, self.dim), dtype=complex)
+        self.t = np.zeros((self.branches, self.dim), dtype=complex)
 
-    def update(self, y: np.ndarray, z: complex, zbar: complex) -> None:
+    def update(self, y: np.ndarray, zs) -> None:
+        """Fold in one observation and the branches' outputs on it."""
         lam = self.forgetting
-        outer = np.outer(y, y.conj())
-        self.s = lam * self.s + (abs(z) ** 2) * outer
-        self.sbar = lam * self.sbar + (abs(zbar) ** 2) * outer
-        self.t = lam * self.t + np.conj(z) * y
-        self.tbar = lam * self.tbar + np.conj(zbar) * y
+        zs = np.asarray(zs, dtype=complex)
+        self.s = lam * self.s + (np.abs(zs) ** 2)[:, None, None] * np.outer(y, y.conj())
+        self.t = lam * self.t + np.conj(zs)[:, None] * y
         self.weight = lam * self.weight + 1.0
 
     @property
@@ -147,16 +113,8 @@ class CcmStatistics:
         return self.s / max(self.weight, 1.0)
 
     @property
-    def rbar(self) -> np.ndarray:
-        return self.sbar / max(self.weight, 1.0)
-
-    @property
     def d(self) -> np.ndarray:
         return self.t / max(self.weight, 1.0)
-
-    @property
-    def dbar(self) -> np.ndarray:
-        return self.tbar / max(self.weight, 1.0)
 
 
 def constrained_quadratic_filter(
@@ -187,96 +145,45 @@ def constrained_quadratic_filter(
     return ri_d - ri_c @ lam
 
 
-def ccm_exact_filter(
-    stats: CcmStatistics,
-    cm: ConstraintMatrices,
-    h_stacked: np.ndarray,
-    nu: float = 1.0,
-    ridge: float = 0.0,
-) -> FilterPair:
-    """Closed-form constant-modulus filter pair from current moments."""
-    w = constrained_quadratic_filter(stats.r, stats.d, cm.odd, nu * h_stacked, ridge)
-    wbar = constrained_quadratic_filter(
-        stats.rbar, stats.dbar, cm.even, nu * np.conj(h_stacked), ridge
-    )
-    return FilterPair(w=w, wbar=wbar)
+def _step_gain(y: np.ndarray, mu: float, normalize: bool) -> float:
+    """The sg step size: mu, or mu / (||y||^2 + eps) under ``normalize``."""
+    return mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
 
 
-def cmv_exact_filter(
-    r: np.ndarray,
-    cm: ConstraintMatrices,
-    h_stacked: np.ndarray,
-    nu: float = 1.0,
-    ridge: float = 0.0,
-) -> FilterPair:
-    """Closed-form minimum-variance filter pair from the covariance."""
-    zero = np.zeros(r.shape[0], dtype=complex)
-    w = constrained_quadratic_filter(r, zero, cm.odd, nu * h_stacked, ridge)
-    wbar = constrained_quadratic_filter(
-        r, zero, cm.even, nu * np.conj(h_stacked), ridge
-    )
-    return FilterPair(w=w, wbar=wbar)
+def ccm_sg_step(ws, projectors, y, offsets, mu=1e-3, normalize=False, outputs=None) -> list:
+    """One constant-modulus stochastic-gradient update of every branch,
+    w_b <- P_b (w_b - g e_b conj(z_b) y) + offset_b.
 
-
-def _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets):
-    """(w, wbar) <- P ((w, wbar) - g coefs y) + offsets, both branches in one
-    stacked product; g is mu, or mu / (||y||^2 + eps) under ``normalize``."""
-    g = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
-    if offsets is None:
-        offsets = constraint_offsets(pp, h_stacked, nu)
-    ws = np.array((fp.w, fp.wbar)) - g * (np.array(coefs)[:, None] * y)
-    fp.w, fp.wbar = (pp.projectors @ ws[:, :, None])[:, :, 0] + offsets
-    return fp
-
-
-def ccm_sg_step(
-    fp: FilterPair,
-    pp: ProjectionPair,
-    y: np.ndarray,
-    h_stacked: np.ndarray,
-    nu: float = 1.0,
-    mu: float = 1e-3,
-    normalize: bool = False,
-    outputs: tuple[complex, complex] | None = None,
-    offsets: np.ndarray | None = None,
-) -> FilterPair:
-    """One constant-modulus stochastic-gradient update of both branches.
-
-    The sample gradient factor is e conj(z) y with e = |z|^2 - 1 (one quarter
-    of the full modulus-cost gradient; the step size absorbs the rest).  With
-    ``normalize`` the step is divided by ||y||^2 + eps.  ``outputs`` is the
-    pair's (z, zbar) on y and ``offsets`` is
-    ``constraint_offsets(pp, h_stacked, nu)``, when the caller has them.
+    ``ws``, ``projectors`` and ``offsets`` hold one entry per branch: its
+    filter, its null-space projector and its constraint offset
+    (:func:`constraint_offsets`).  The sample gradient factor is e conj(z) y
+    with e = |z|^2 - 1 (one quarter of the full modulus-cost gradient; the
+    step size absorbs the rest).  g is mu, or with ``normalize`` mu divided
+    by ||y||^2 + eps.  ``outputs`` are the branches' outputs z on y, when the
+    caller has them.  Returns the new filters; ``ws`` is left as it is.
     """
-    z, zbar = fp.output(y) if outputs is None else outputs
-    coefs = ((abs(z) ** 2 - 1.0) * np.conj(z), (abs(zbar) ** 2 - 1.0) * np.conj(zbar))
-    return _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets)
+    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
+    g = _step_gain(y, mu, normalize)
+    return [
+        p @ (w - g * (abs(z) ** 2 - 1.0) * np.conj(z) * y) + o
+        for w, p, o, z in zip(ws, projectors, offsets, zs)
+    ]
 
 
-def cmv_sg_step(
-    fp: FilterPair,
-    pp: ProjectionPair,
-    y: np.ndarray,
-    h_stacked: np.ndarray,
-    nu: float = 1.0,
-    mu: float = 1e-3,
-    normalize: bool = False,
-    outputs: tuple[complex, complex] | None = None,
-    offsets: np.ndarray | None = None,
-) -> FilterPair:
-    """One output-power stochastic-gradient update of both branches;
-    ``outputs`` and ``offsets`` are as for :func:`ccm_sg_step`."""
-    z, zbar = fp.output(y) if outputs is None else outputs
-    coefs = (np.conj(z), np.conj(zbar))
-    return _sg_pair(fp, pp, y, h_stacked, nu, mu, normalize, coefs, offsets)
+def cmv_sg_step(ws, projectors, y, offsets, mu=1e-3, normalize=False, outputs=None) -> list:
+    """One output-power stochastic-gradient update of every branch,
+    w_b <- P_b (w_b - g conj(z_b) y) + offset_b; the arguments are as for
+    :func:`ccm_sg_step`."""
+    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
+    g = _step_gain(y, mu, normalize)
+    return [p @ (w - g * np.conj(z) * y) + o for w, p, o, z in zip(ws, projectors, offsets, zs)]
 
 
-def trained_lms_step(
-    w: np.ndarray, y: np.ndarray, symbol: complex, mu: float
-) -> np.ndarray:
-    """Standard least-mean-square update towards a known training symbol."""
-    err = symbol - np.vdot(w, y)
-    return w + mu * np.conj(err) * y
+def trained_lms_step(ws, y: np.ndarray, symbols, mu: float, outputs=None) -> list:
+    """Least-mean-square update of every branch towards its known training
+    symbol; ``outputs`` are as for :func:`ccm_sg_step`."""
+    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
+    return [w + mu * np.conj(s - z) * y for w, s, z in zip(ws, symbols, zs)]
 
 
 def detect(z) -> np.ndarray:

@@ -27,12 +27,11 @@ from stcdma.oracles import (
 )
 from stcdma.receivers import (
     ccm_sg_step,
-    cmv_exact_filter,
     constrained_quadratic_filter,
+    constraint_offsets,
     constraint_projector,
+    constraint_restorer,
     detect,
-    min_norm_feasible_pair,
-    projection_pair,
 )
 from stcdma.scenario import Scenario
 from stcdma.signal_model import (
@@ -83,15 +82,17 @@ def test_criterion_02_constraints_hold_through_adaptation():
     streams = [SymbolStream(symbols=random_qpsk(2 * steps, rng)) for _ in range(users)]
     y = simulate_packet(streams, sp, ch, Scenario().noise_variance(), rng)
     cm = user_constraint_matrices(sp, 0, lp)
-    pp = projection_pair(cm)
+    cs = (cm.odd, cm.even)
+    projectors = [constraint_projector(c) for c in cs]
     h = ch.stacked[:, 0]
     nu = 1.4
-    fp = min_norm_feasible_pair(pp, h, nu)
+    offsets = constraint_offsets([constraint_restorer(c) for c in cs], h, nu)
+    ws = list(offsets)
     for i in range(steps):
-        ccm_sg_step(fp, pp, y[:, i], h, nu=nu, mu=6e-3, normalize=True)
+        ws = ccm_sg_step(ws, projectors, y[:, i], offsets, mu=6e-3, normalize=True)
     resid = max(
-        float(np.linalg.norm(cm.odd.conj().T @ fp.w - nu * h)),
-        float(np.linalg.norm(cm.even.conj().T @ fp.wbar - nu * np.conj(h))),
+        float(np.linalg.norm(cm.odd.conj().T @ ws[0] - nu * h)),
+        float(np.linalg.norm(cm.even.conj().T @ ws[1] - nu * np.conj(h))),
     )
     pi = constraint_projector(cm.odd)
     algebra = max(
@@ -311,7 +312,9 @@ def test_criterion_08_exact_receiver_meets_analytic_bound():
         u = cm.odd @ h
         v = cm.even @ np.conj(h)
         r = 2.0 * (np.outer(u, u.conj()) + np.outer(v, v.conj())) + sigma2 * np.eye(len(u))
-        fp = cmv_exact_filter(r, cm, h, nu=1.0)
+        zero = np.zeros(len(u), dtype=complex)
+        w = constrained_quadratic_filter(r, zero, cm.odd, h)
+        wbar = constrained_quadratic_filter(r, zero, cm.even, np.conj(h))
         rng = np.random.default_rng(1080 + point)
         bits = 0
         errs = 0
@@ -320,7 +323,7 @@ def test_criterion_08_exact_receiver_meets_analytic_bound():
             ch = flat_unit_channel(2, 1, 1000)
             y = simulate_packet([stream], sp, ch, sigma2, rng)
             z = np.empty(2000, dtype=complex)
-            z[0::2], z[1::2] = fp.w.conj() @ y, fp.wbar.conj() @ y
+            z[0::2], z[1::2] = w.conj() @ y, wbar.conj() @ y
             decided = detect(z)
             truth = stream.symbols
             errs += int(np.sum(np.sign(decided.real) != np.sign(truth.real)))

@@ -122,90 +122,79 @@ def test_filter_bound_checks_finiteness_and_norm(w, ok):
     assert harness._bounded(np.array(w, dtype=complex)) == ok
 
 
-def _poison_lms(monkeypatch, call, value):
-    """Make the given trained_lms_step call return a filter with `value` in it."""
-    real = harness.trained_lms_step
+def _poison_step(monkeypatch, name, call, branch, value):
+    """Make the given call of harness.<name> (a receiver step, which returns
+    new per-branch filters) put `value` into one branch's filter."""
+    real = getattr(harness, name)
     calls = []
 
-    def step(w, y, symbol, mu):
+    def step(ws, *args, **kwargs):
         calls.append(None)
-        out = real(w, y, symbol, mu)
+        out = real(ws, *args, **kwargs)
         if len(calls) == call + 1:
-            out = out.copy()
-            out[0] = value
+            bad = out[branch].copy()
+            bad[0] = value
+            out[branch] = bad
         return out
 
-    monkeypatch.setattr(harness, "trained_lms_step", step)
+    monkeypatch.setattr(harness, name, step)
     return calls
 
 
-# With two transmit antennas the steps alternate w, wbar, and a block's pair is
-# checked once both are updated; with one antenna every step is checked.
+def _freeze_step(monkeypatch, name, call):
+    """Make harness.<name> leave the filters as they are from the given call on."""
+    real = getattr(harness, name)
+    calls = []
+
+    def step(ws, *args, **kwargs):
+        calls.append(None)
+        return real(ws, *args, **kwargs) if len(calls) <= call else ws
+
+    monkeypatch.setattr(harness, name, step)
+
+
+# (tx antennas, branch): two branches per block with two transmit antennas,
+# one per symbol with one.
+BRANCHES = [(2, 0), (2, 1), (1, 0)]
+BRANCH_IDS = ["w", "wbar", "1tx"]
+
+
+# One step call updates every branch of a block (of a symbol with one
+# transmit antenna), and its filters are checked once it returns.
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
 @pytest.mark.parametrize(
-    "tx,call,calls_made", [(2, 20, 22), (2, 21, 22), (1, 20, 21)], ids=["2tx-w", "2tx-wbar", "1tx"]
+    "tx,branch", BRANCHES, ids=["2tx-w", "2tx-wbar", "1tx"]
 )
-def test_bad_filter_stops_adaptation_on_both_paths(monkeypatch, tx, call, calls_made, value):
-    calls = _poison_lms(monkeypatch, call, value)
+def test_bad_filter_stops_adaptation_on_both_paths(monkeypatch, tx, branch, value):
+    calls = _poison_step(monkeypatch, "trained_lms_step", 20, branch, value)
     tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=("trained-lms",)), 3)
     assert tr.diverged["trained-lms"]
     assert tr.bit_errors["trained-lms"].shape == (200,)
-    assert len(calls) == calls_made
+    assert len(calls) == 21
 
 
 @pytest.mark.parametrize("tx", [1, 2])
 def test_filter_below_limit_keeps_adapting(monkeypatch, tx):
-    calls = _poison_lms(monkeypatch, 20, 5e5)
+    calls = _poison_step(monkeypatch, "trained_lms_step", 20, 0, 5e5)
     tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=("trained-lms",)), 3)
     assert not tr.diverged["trained-lms"]
-    assert len(calls) == 200
-
-
-def _poison_sg(monkeypatch, name, call, branch, value):
-    """Make the given call of harness.<name> (an sg step, which replaces the
-    pair's arrays) leave `value` in one branch of the filter pair."""
-    real = getattr(harness, name)
-    calls = []
-
-    def step(fp, *args, **kwargs):
-        calls.append(None)
-        fp = real(fp, *args, **kwargs)
-        if len(calls) == call + 1:
-            bad = getattr(fp, branch).copy()
-            bad[0] = value
-            setattr(fp, branch, bad)
-        return fp
-
-    monkeypatch.setattr(harness, name, step)
-    return calls
-
-
-def _freeze_sg(monkeypatch, name, call):
-    """Make harness.<name> leave the filter pair as it is from the given call on."""
-    real = getattr(harness, name)
-    calls = []
-
-    def step(fp, *args, **kwargs):
-        calls.append(None)
-        return real(fp, *args, **kwargs) if len(calls) <= call else fp
-
-    monkeypatch.setattr(harness, name, step)
+    assert len(calls) == 200 // tx
 
 
 SG_STEPS = [("ccm_sg_step", "ccm-sg"), ("cmv_sg_step", "cmv-sg")]
 
 
-# A pair is checked once both branches are updated; on a bad branch the block's
-# step is undone, so the rest of the packet runs on the pair from before it.
+# On a bad branch the step is undone, so the rest of the packet runs on the
+# filters from before it.
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
-@pytest.mark.parametrize("branch", ["w", "wbar"])
+@pytest.mark.parametrize("tx,branch", BRANCHES, ids=BRANCH_IDS)
 @pytest.mark.parametrize("name,alg", SG_STEPS, ids=["ccm", "cmv"])
-def test_bad_sg_filter_stops_adaptation_at_that_block(monkeypatch, name, alg, branch, value):
-    scn = _tiny_scenario(algorithms=(alg,))
+def test_bad_sg_filter_stops_adaptation_at_that_block(monkeypatch, name, alg, tx, branch, value):
+    scn = _tiny_scenario(tx_antennas=tx, algorithms=(alg,))
     with monkeypatch.context() as mp:
-        _freeze_sg(mp, name, 20)
+        _freeze_step(mp, name, 20)
         frozen = run_trial(scn, 3)
-    calls = _poison_sg(monkeypatch, name, 20, branch, value)
+    calls = _poison_step(monkeypatch, name, 20, branch, value)
     tr = run_trial(scn, 3)
     assert tr.diverged[alg]
     assert len(calls) == 21
@@ -214,19 +203,21 @@ def test_bad_sg_filter_stops_adaptation_at_that_block(monkeypatch, name, alg, br
 
 
 # ccm's gradient is cubic in the output, so a 5e5 filter blows up on the next
-# block by itself; its control sits on the last block.
-@pytest.mark.parametrize("branch", ["w", "wbar"])
+# step by itself; its control sits on the last step.
+@pytest.mark.parametrize("tx,branch", BRANCHES, ids=BRANCH_IDS)
 @pytest.mark.parametrize(
-    "name,alg,call", [("ccm_sg_step", "ccm-sg", 99), ("cmv_sg_step", "cmv-sg", 20)], ids=["ccm", "cmv"]
+    "name,alg,call", [("ccm_sg_step", "ccm-sg", -1), ("cmv_sg_step", "cmv-sg", 20)], ids=["ccm", "cmv"]
 )
-def test_sg_filter_below_limit_keeps_adapting(monkeypatch, name, alg, call, branch):
-    calls = _poison_sg(monkeypatch, name, call, branch, 5e5)
-    tr = run_trial(_tiny_scenario(algorithms=(alg,)), 3)
+def test_sg_filter_below_limit_keeps_adapting(monkeypatch, name, alg, call, tx, branch):
+    steps = 200 // tx
+    calls = _poison_step(monkeypatch, name, call % steps, branch, 5e5)
+    tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=(alg,)), 3)
     assert not tr.diverged[alg]
-    assert len(calls) == 100
+    assert len(calls) == steps
 
 
 def test_sg_steps_run_once_per_block_per_receive_antenna(monkeypatch):
+    """Once per block with two transmit antennas, once per symbol with one."""
     counts = {}
     for name, _ in SG_STEPS:
         real = getattr(harness, name)
@@ -236,9 +227,35 @@ def test_sg_steps_run_once_per_block_per_receive_antenna(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, step)
-    tr = run_trial(_tiny_scenario(algorithms=("ccm-sg", "cmv-sg"), rx_antennas=2), 3)
-    assert not any(tr.diverged.values())
-    assert counts == {"ccm_sg_step": 100 * 2, "cmv_sg_step": 100 * 2}
+    for tx, steps in ((2, 100), (1, 200)):
+        counts.clear()
+        scn = _tiny_scenario(tx_antennas=tx, algorithms=("ccm-sg", "cmv-sg"), rx_antennas=2)
+        tr = run_trial(scn, 3)
+        assert not any(tr.diverged.values())
+        assert counts == {"ccm_sg_step": steps * 2, "cmv_sg_step": steps * 2}
+
+
+# normalize_steps divides the ccm-sg and cmv-sg steps by the input power on
+# both antenna counts.  With 12 users at 6 dB a step of 0.01 is too large
+# unnormalized, so flipping the flag moves the bit errors.
+@pytest.mark.parametrize("alg", ["ccm-sg", "cmv-sg"])
+@pytest.mark.parametrize("tx", [1, 2])
+def test_normalize_steps_changes_sg_receivers(tx, alg):
+    base = dict(
+        users=12,
+        snr_db=6.0,
+        packet_symbols=2000,
+        tx_antennas=tx,
+        algorithms=(alg,),
+        channel_estimator="genie",
+        step_ccm=0.01,
+        step_cmv=0.01,
+    )
+    errors = {
+        flag: run_trial(Scenario(**base, normalize_steps=flag).validate(), 5).bit_errors[alg]
+        for flag in (False, True)
+    }
+    assert not np.array_equal(errors[False], errors[True])
 
 
 # At 0 dB the two antennas' output energies differ enough for mrc and egc to
@@ -357,7 +374,8 @@ def test_sweep_matches_manual_pooling():
 
 def test_sweep_users_axis_replaces_user_count():
     scn = _tiny_scenario(extra_users=1, extra_users_at=100)
-    series = sweep(scn, "users", [1, 3], runs=2)
+    with pytest.warns(UserWarning):
+        series = sweep(scn, "users", [1, 3], runs=2)
     assert {r.axis_value for r in series.rows} == {1.0, 3.0}
     assert all(r.metric == "ber" for r in series.rows)
 

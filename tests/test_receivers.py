@@ -9,10 +9,7 @@ from stcdma.oracles import central_difference, kkt_constrained_minimizer
 from stcdma.receivers import (
     CcmStatistics,
     CombinerGains,
-    FilterPair,
-    ccm_exact_filter,
     ccm_sg_step,
-    cmv_exact_filter,
     cmv_sg_step,
     combine,
     constrained_quadratic_filter,
@@ -20,13 +17,15 @@ from stcdma.receivers import (
     constraint_projector,
     constraint_restorer,
     detect,
-    min_norm_feasible_pair,
-    projection_pair,
     trained_lms_step,
 )
 from stcdma.signal_model import random_multipath_channel, random_qpsk, simulate_packet
 from stcdma.signal_model import SymbolStream
-from stcdma.spreading import random_spreading_set, user_constraint_matrices
+from stcdma.spreading import (
+    build_convolution_matrix,
+    random_spreading_set,
+    user_constraint_matrices,
+)
 
 
 def _random_constraints(rng, dim=12, ncon=4):
@@ -91,28 +90,41 @@ def test_constrained_filter_matches_kkt():
         assert np.max(np.abs(w0 - oracle0)) < 1e-8
 
 
+def _exact_filters(moments, cm, h, nu, ridge=0.0):
+    """Both branches' closed-form filters: (C, nu h) and (Cbar, nu conj(h))."""
+    return [
+        constrained_quadratic_filter(r, d, c, nu * hb, ridge)
+        for (r, d), c, hb in zip(moments, (cm.odd, cm.even), (h, np.conj(h)))
+    ]
+
+
+def _cmv_filters(r, cm, h, nu, ridge=0.0):
+    zero = np.zeros(r.shape[0], dtype=complex)
+    return _exact_filters([(r, zero)] * 2, cm, h, nu, ridge)
+
+
 def test_cmv_filter_is_linear_in_nu():
     rng = np.random.default_rng(5)
     sp = random_spreading_set(2, 16, "zero-padded", 2, seed=1)
     cm = user_constraint_matrices(sp, 0, 3)
     r = _random_covariance(rng, dim=2 * (16 + 3 - 1))
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    one = cmv_exact_filter(r, cm, h, nu=1.0)
-    two = cmv_exact_filter(r, cm, h, nu=2.0)
-    assert np.max(np.abs(two.w - 2.0 * one.w)) < 1e-9
-    assert np.max(np.abs(two.wbar - 2.0 * one.wbar)) < 1e-9
+    one = _cmv_filters(r, cm, h, nu=1.0)
+    two = _cmv_filters(r, cm, h, nu=2.0)
+    assert np.max(np.abs(two[0] - 2.0 * one[0])) < 1e-9
+    assert np.max(np.abs(two[1] - 2.0 * one[1])) < 1e-9
 
 
 def test_ccm_statistics_match_loop_moments():
     rng = np.random.default_rng(6)
     dim = 6
-    stats = CcmStatistics(dim=dim, forgetting=1.0)
+    stats = CcmStatistics(dim=dim, branches=2, forgetting=1.0)
     ys, zs, zbars = [], [], []
     for _ in range(25):
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         z = complex(rng.standard_normal() + 1j * rng.standard_normal())
         zbar = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        stats.update(y, z, zbar)
+        stats.update(y, [z, zbar])
         ys.append(y)
         zs.append(z)
         zbars.append(zbar)
@@ -120,102 +132,115 @@ def test_ccm_statistics_match_loop_moments():
         [abs(z) ** 2 * np.outer(y, y.conj()) for y, z in zip(ys, zs)], axis=0
     )
     d_oracle = np.mean([np.conj(z) * y for y, z in zip(ys, zs)], axis=0)
-    assert np.max(np.abs(stats.r - r_oracle)) < 1e-12
-    assert np.max(np.abs(stats.d - d_oracle)) < 1e-12
+    assert stats.r.shape == (2, dim, dim) and stats.d.shape == (2, dim)
+    assert np.max(np.abs(stats.r[0] - r_oracle)) < 1e-12
+    assert np.max(np.abs(stats.d[0] - d_oracle)) < 1e-12
     rbar_oracle = np.mean(
         [abs(z) ** 2 * np.outer(y, y.conj()) for y, z in zip(ys, zbars)], axis=0
     )
-    assert np.max(np.abs(stats.rbar - rbar_oracle)) < 1e-12
+    assert np.max(np.abs(stats.r[1] - rbar_oracle)) < 1e-12
 
 
 def test_ccm_statistics_unbiased_from_first_sample():
     rng = np.random.default_rng(7)
-    stats = CcmStatistics(dim=4, forgetting=0.9)
+    stats = CcmStatistics(dim=4, branches=2, forgetting=0.9)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    stats.update(y, 1.0 + 0.5j, 0.2 - 1.0j)
-    assert np.max(np.abs(stats.r - abs(1.0 + 0.5j) ** 2 * np.outer(y, y.conj()))) < 1e-12
+    stats.update(y, [1.0 + 0.5j, 0.2 - 1.0j])
+    assert np.max(np.abs(stats.r[0] - abs(1.0 + 0.5j) ** 2 * np.outer(y, y.conj()))) < 1e-12
 
 
 def _feasible_setup(seed, gain=16, lp=3):
+    """Random two-branch constraint set: (C, Cbar), their projectors and
+    restorers, and a unit channel."""
     rng = np.random.default_rng(seed)
     sp = random_spreading_set(3, gain, "zero-padded", 2, seed=seed)
     cm = user_constraint_matrices(sp, 0, lp)
-    pp = projection_pair(cm)
+    projectors = [constraint_projector(c) for c in (cm.odd, cm.even)]
+    restorers = [constraint_restorer(c) for c in (cm.odd, cm.even)]
     h = rng.standard_normal(2 * lp) + 1j * rng.standard_normal(2 * lp)
     h /= np.linalg.norm(h)
-    return rng, cm, pp, h
+    return rng, cm, projectors, restorers, h
 
 
 def test_sg_steps_keep_constraints_exact():
-    rng, cm, pp, h = _feasible_setup(8)
+    rng, cm, projectors, restorers, h = _feasible_setup(8)
     nu = 1.3
-    fp = min_norm_feasible_pair(pp, h, nu)
+    offsets = constraint_offsets(restorers, h, nu)
+    ws = list(offsets)
     dim = cm.odd.shape[0]
     for _ in range(50):
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ccm_sg_step(fp, pp, y, h, nu=nu, mu=1e-4)
-    assert np.all(np.isfinite(fp.w))
-    assert np.max(np.abs(cm.odd.conj().T @ fp.w - nu * h)) < 1e-10
-    assert np.max(np.abs(cm.even.conj().T @ fp.wbar - nu * np.conj(h))) < 1e-10
-    fp2 = min_norm_feasible_pair(pp, h, nu)
+        ws = ccm_sg_step(ws, projectors, y, offsets, mu=1e-4)
+    assert np.all(np.isfinite(ws[0]))
+    assert np.max(np.abs(cm.odd.conj().T @ ws[0] - nu * h)) < 1e-10
+    assert np.max(np.abs(cm.even.conj().T @ ws[1] - nu * np.conj(h))) < 1e-10
+    ws2 = list(offsets)
     for _ in range(50):
         y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        cmv_sg_step(fp2, pp, y, h, nu=nu, mu=1e-2, normalize=True)
-    assert np.max(np.abs(cm.odd.conj().T @ fp2.w - nu * h)) < 1e-10
+        ws2 = cmv_sg_step(ws2, projectors, y, offsets, mu=1e-2, normalize=True)
+    assert np.max(np.abs(cm.odd.conj().T @ ws2[0] - nu * h)) < 1e-10
 
 
 @pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
 def test_sg_step_with_given_outputs_matches_recomputed(step):
-    rng, cm, pp, h = _feasible_setup(12)
+    rng, cm, projectors, restorers, h = _feasible_setup(12)
     dim = cm.odd.shape[0]
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    fp = min_norm_feasible_pair(pp, h, 1.2)
-    given = FilterPair(w=fp.w, wbar=fp.wbar)
-    offered = FilterPair(w=fp.w, wbar=fp.wbar)
-    step(fp, pp, y, h, nu=1.2, mu=1e-2, normalize=True)
-    step(given, pp, y, h, nu=1.2, mu=1e-2, normalize=True, outputs=given.output(y))
-    # Given offsets stand in for the channel, which is then not read.
-    offsets = constraint_offsets(pp, h, 1.2)
-    step(offered, pp, y, None, nu=1.2, mu=1e-2, normalize=True, offsets=offsets)
-    for other in (given, offered):
-        assert np.array_equal(fp.w, other.w)
-        assert np.array_equal(fp.wbar, other.wbar)
+    offsets = constraint_offsets(restorers, h, 1.2)
+    ws = list(offsets)
+    recomputed = step(ws, projectors, y, offsets, mu=1e-2, normalize=True)
+    given = step(ws, projectors, y, offsets, 1e-2, True, [np.vdot(w, y) for w in ws])
+    assert all(np.array_equal(a, b) for a, b in zip(recomputed, given))
+    # The step returns new filters and leaves the ones it was given alone.
+    assert all(np.array_equal(a, b) for a, b in zip(ws, offsets))
+
+
+@pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
+def test_sg_step_on_one_branch_matches_its_formula(step):
+    """The one-transmit-antenna receiver is one branch on the convolution
+    matrix; its step is the same projected update on that branch alone."""
+    rng = np.random.default_rng(16)
+    sp = random_spreading_set(2, 16, "zero-padded", 1, seed=4)
+    conv = build_convolution_matrix(sp.code(0, 0), 3)
+    pi = constraint_projector(conv)
+    h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    offsets = constraint_offsets([constraint_restorer(conv)], h, 1.4)
+    assert offsets.shape == (1, conv.shape[0])
+    y = rng.standard_normal(conv.shape[0]) + 1j * rng.standard_normal(conv.shape[0])
+    (w,) = step(list(offsets), [pi], y, offsets, mu=1e-2, normalize=True)
+    z = np.vdot(offsets[0], y)
+    coef = (abs(z) ** 2 - 1.0) * np.conj(z) if step is ccm_sg_step else np.conj(z)
+    expected = pi @ (offsets[0] - 1e-2 / np.vdot(y, y).real * coef * y) + offsets[0]
+    assert np.max(np.abs(w - expected)) < 1e-12
+    assert np.max(np.abs(conv.conj().T @ w - 1.4 * h)) < 1e-10
 
 
 def test_constraint_offsets_per_column_match_single_channels():
-    rng, cm, pp, h = _feasible_setup(13)
+    rng, cm, _, restorers, h = _feasible_setup(13)
     hs = rng.standard_normal((h.size, 5)) + 1j * rng.standard_normal((h.size, 5))
-    block = constraint_offsets(pp, hs, 1.4)
+    block = constraint_offsets(restorers, hs, 1.4)
     assert block.shape == (2, cm.block_dim, 5)
     for k in range(5):
-        one = constraint_offsets(pp, hs[:, k], 1.4)
+        one = constraint_offsets(restorers, hs[:, k], 1.4)
         assert np.max(np.abs(block[:, :, k] - one)) < 1e-13
         assert np.max(np.abs(cm.odd.conj().T @ one[0] - 1.4 * hs[:, k])) < 1e-12
         assert np.max(np.abs(cm.even.conj().T @ one[1] - 1.4 * np.conj(hs[:, k]))) < 1e-12
 
 
-def test_projection_pair_stacks_both_projectors():
-    _, cm, pp, _ = _feasible_setup(14)
-    assert pp.projectors.shape == (2, cm.block_dim, cm.block_dim)
-    assert np.array_equal(pp.projectors[0], constraint_projector(cm.odd))
-    assert np.array_equal(pp.projectors[1], constraint_projector(cm.even))
-
-
 def test_ccm_step_moves_along_projected_gradient():
-    rng, cm, pp, h = _feasible_setup(9)
-    fp = min_norm_feasible_pair(pp, h, 1.0)
+    rng, cm, projectors, restorers, h = _feasible_setup(9)
+    offsets = constraint_offsets(restorers, h, 1.0)
     dim = cm.odd.shape[0]
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    w_before = fp.w.copy()
-    z = np.vdot(w_before, y)
+    z = np.vdot(offsets[0], y)
     mu = 1e-3
-    ccm_sg_step(fp, pp, y, h, nu=1.0, mu=mu)
-    expected = w_before - mu * pp.projectors[0] @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
-    assert np.max(np.abs(fp.w - expected)) < 1e-12
+    ws = ccm_sg_step(list(offsets), projectors, y, offsets, mu=mu)
+    expected = offsets[0] - mu * projectors[0] @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
+    assert np.max(np.abs(ws[0] - expected)) < 1e-12
 
 
 def test_sg_gradients_match_central_difference():
-    rng, cm, pp, h = _feasible_setup(10)
+    rng, cm, _, _, h = _feasible_setup(10)
     dim = cm.odd.shape[0]
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -237,27 +262,26 @@ def test_sg_gradients_match_central_difference():
 
 
 def test_normalized_step_scales_by_input_power():
-    rng, cm, pp, h = _feasible_setup(11)
+    rng, cm, projectors, restorers, h = _feasible_setup(11)
     dim = cm.odd.shape[0]
     y = 10.0 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    fp_raw = min_norm_feasible_pair(pp, h, 1.0)
-    fp_norm = min_norm_feasible_pair(pp, h, 1.0)
-    w0 = fp_raw.w.copy()
-    cmv_sg_step(fp_raw, pp, y, h, mu=1e-3, normalize=False)
-    cmv_sg_step(fp_norm, pp, y, h, mu=1e-3, normalize=True)
+    offsets = constraint_offsets(restorers, h, 1.0)
+    w0 = offsets[0]
+    raw = cmv_sg_step(list(offsets), projectors, y, offsets, mu=1e-3, normalize=False)
+    norm = cmv_sg_step(list(offsets), projectors, y, offsets, mu=1e-3, normalize=True)
     power = np.vdot(y, y).real
-    raw_move = fp_raw.w - w0
-    norm_move = fp_norm.w - w0
+    raw_move = raw[0] - w0
+    norm_move = norm[0] - w0
     assert np.max(np.abs(norm_move * (power + 1e-12) - raw_move)) < 1e-10
 
 
 def test_min_norm_pair_matches_pinv():
-    rng, cm, pp, h = _feasible_setup(12)
-    fp = min_norm_feasible_pair(pp, h, 1.7)
+    rng, cm, _, restorers, h = _feasible_setup(12)
+    w, wbar = constraint_offsets(restorers, h, 1.7)
     oracle_w = np.linalg.pinv(cm.odd.conj().T) @ (1.7 * h)
     oracle_wbar = np.linalg.pinv(cm.even.conj().T) @ (1.7 * np.conj(h))
-    assert np.max(np.abs(fp.w - oracle_w)) < 1e-10
-    assert np.max(np.abs(fp.wbar - oracle_wbar)) < 1e-10
+    assert np.max(np.abs(w - oracle_w)) < 1e-10
+    assert np.max(np.abs(wbar - oracle_wbar)) < 1e-10
 
 
 def test_trained_lms_approaches_wiener_filter():
@@ -273,7 +297,7 @@ def test_trained_lms_approaches_wiener_filter():
         s = random_qpsk(1, rng)[0]
         n = np.sqrt(sigma2 / 2) * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         y = h * s + n
-        w = trained_lms_step(w, y, s, mu=0.005)
+        (w,) = trained_lms_step([w], y, [s], mu=0.005)
     assert np.linalg.norm(w - w_mmse) < 0.15 * np.linalg.norm(w_mmse)
 
 
@@ -323,14 +347,14 @@ def test_cmv_with_ensemble_covariance_separates_users():
     ]
     y = simulate_packet(streams, sp, ch, 0.0, rng)
     cm = user_constraint_matrices(sp, 0, lp)
-    fp = cmv_exact_filter(r, cm, h, nu=1.0, ridge=1e-10)
+    w, wbar = _cmv_filters(r, cm, h, nu=1.0, ridge=1e-10)
     # interfering signatures and the same-user partner direction are nulled
     # (residual leakage is set by the tiny ridge, far below the O(1) gain)
     for u, v in sigs[1:]:
-        assert abs(np.vdot(fp.w, u)) < 1e-4
-        assert abs(np.vdot(fp.w, v)) < 1e-4
-    assert abs(np.vdot(fp.w, sigs[0][1])) < 1e-4
-    z = np.array([fp.output(y[:, i]) for i in range(y.shape[1])])
+        assert abs(np.vdot(w, u)) < 1e-4
+        assert abs(np.vdot(w, v)) < 1e-4
+    assert abs(np.vdot(w, sigs[0][1])) < 1e-4
+    z = np.stack((w.conj() @ y, wbar.conj() @ y), axis=1)
     assert np.array_equal(detect(z[:, 0]), detect(streams[0].symbols[0::2]))
     assert np.array_equal(detect(z[:, 1]), detect(streams[0].symbols[1::2]))
 
@@ -350,12 +374,12 @@ def test_ccm_exact_filter_separates_users_at_scale():
     y = simulate_packet(streams, sp, ch, 0.0, rng)
     cm = user_constraint_matrices(sp, 0, lp)
     h = ch.stacked[:, 0]
-    stats = CcmStatistics(dim=2 * (gain + lp - 1), forgetting=1.0)
-    start = min_norm_feasible_pair(projection_pair(cm), h, 1.0)
+    stats = CcmStatistics(dim=2 * (gain + lp - 1), branches=2, forgetting=1.0)
+    restorers = [constraint_restorer(c) for c in (cm.odd, cm.even)]
+    start = constraint_offsets(restorers, h, 1.0)
     for i in range(nblocks):
-        z0, zbar0 = start.output(y[:, i])
-        stats.update(y[:, i], z0, zbar0)
-    fp = ccm_exact_filter(stats, cm, h, nu=1.0, ridge=1e-9)
-    z = np.array([fp.output(y[:, i]) for i in range(nblocks)])
+        stats.update(y[:, i], [np.vdot(w, y[:, i]) for w in start])
+    w, wbar = _exact_filters(zip(stats.r, stats.d), cm, h, nu=1.0, ridge=1e-9)
+    z = np.stack((w.conj() @ y, wbar.conj() @ y), axis=1)
     assert np.array_equal(detect(z[:, 0]), detect(streams[0].symbols[0::2]))
     assert np.array_equal(detect(z[:, 1]), detect(streams[0].symbols[1::2]))

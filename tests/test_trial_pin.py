@@ -3,9 +3,10 @@
 A small matrix of short trials covers one and two transmit antennas, one
 receive antenna and two under both combiners, all five algorithms, and the
 genie, svd and sg channel estimators.  Two more trials set
-``normalize_steps``, as ``configs/load_surge.cfg`` does; the one-antenna path
-ignores the flag today, and its case pins that.  Each trial's per-algorithm bit-error
-array and divergence flags hash to one digest, stored in
+``normalize_steps``, as ``configs/load_surge.cfg`` does, on each antenna
+count; the flag changes the sg receivers' outputs on both, so each of these
+digests differs from its unnormalized case.  Each trial's per-algorithm
+bit-error array and divergence flags hash to one digest, stored in
 ``trial_pin.json`` next to this file.  A refactor of the receiver loops must
 leave every digest unchanged.
 
