@@ -1,50 +1,20 @@
 """Blind adaptive linear multiuser receivers for space-time block-coded
-DS-CDMA downlinks: signal model, constrained receivers, blind channel
-estimators, and a seeded Monte Carlo harness with a CSV-emitting CLI.
+DS-CDMA downlinks: a seeded Monte Carlo harness with a CSV-emitting CLI.
+
+The top level exports what a study script needs: the scenario and its text
+format, trials and sweeps with their results, the error classes, and the
+algorithm and estimator names.  The building blocks (signal model, spreading
+codes, receivers, channel estimators, oracles) import from their submodules,
+for example ``from stcdma.receivers import ccm_sg_step``.
 """
 
-from .channel_estimation import (
-    ChannelEstimate,
-    CovarianceEstimate,
-    PsiEstimate,
-    align_phase,
-    canonical_phase,
-    estimate_channel_exact,
-    phase_aligned_mse,
-    scaled_inverse_power,
-    sg_channel_step,
-    sg_psi_step,
-)
 from .errors import (
     ConditioningError,
     ScenarioError,
     SingularConstraintError,
     StepSizeError,
 )
-from .fading import clarke_fading_sequence
-from .harness import (
-    MetricRow,
-    MetricsSeries,
-    TrialResult,
-    channel_mse,
-    half_width,
-    run_trial,
-    smooth_series,
-    sweep,
-    trial_seed,
-)
-from .receivers import (
-    CcmStatistics,
-    CombinerGains,
-    ccm_sg_step,
-    cmv_sg_step,
-    combine,
-    constrained_quadratic_filter,
-    constraint_projector,
-    constraint_restorer,
-    detect,
-    trained_lms_step,
-)
+from .harness import MetricRow, MetricsSeries, run_trial, sweep, trial_seed
 from .scenario import (
     ALGORITHMS,
     ESTIMATORS,
@@ -53,87 +23,23 @@ from .scenario import (
     parse_scenario_file,
     serialize_scenario,
 )
-from .signal_model import (
-    SpaceTimeChannel,
-    SymbolStream,
-    alamouti_encode,
-    assemble_received_block,
-    flat_unit_channel,
-    random_multipath_channel,
-    random_qpsk,
-    random_symbol_stream,
-    simulate_packet,
-    three_path_placement,
-)
-from .spreading import (
-    SIGN_FLIPPED,
-    ZERO_PADDED,
-    ConstraintMatrices,
-    SpreadingSet,
-    build_constraint_matrices,
-    build_convolution_matrix,
-    random_spreading_set,
-    user_constraint_matrices,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
     "ESTIMATORS",
-    "CcmStatistics",
-    "ChannelEstimate",
-    "CombinerGains",
     "ConditioningError",
-    "ConstraintMatrices",
-    "CovarianceEstimate",
     "MetricRow",
     "MetricsSeries",
-    "PsiEstimate",
-    "ScenarioError",
     "Scenario",
-    "SIGN_FLIPPED",
+    "ScenarioError",
     "SingularConstraintError",
-    "SpaceTimeChannel",
-    "SpreadingSet",
     "StepSizeError",
-    "SymbolStream",
-    "TrialResult",
-    "ZERO_PADDED",
-    "alamouti_encode",
-    "align_phase",
-    "assemble_received_block",
-    "build_constraint_matrices",
-    "build_convolution_matrix",
-    "canonical_phase",
-    "ccm_sg_step",
-    "channel_mse",
-    "clarke_fading_sequence",
-    "cmv_sg_step",
-    "combine",
-    "constrained_quadratic_filter",
-    "constraint_projector",
-    "constraint_restorer",
-    "detect",
-    "estimate_channel_exact",
-    "flat_unit_channel",
-    "half_width",
     "parse_scenario",
     "parse_scenario_file",
-    "phase_aligned_mse",
-    "random_multipath_channel",
-    "random_qpsk",
-    "random_spreading_set",
-    "random_symbol_stream",
     "run_trial",
-    "scaled_inverse_power",
     "serialize_scenario",
-    "sg_channel_step",
-    "sg_psi_step",
-    "simulate_packet",
-    "smooth_series",
     "sweep",
-    "three_path_placement",
-    "trained_lms_step",
     "trial_seed",
 ]

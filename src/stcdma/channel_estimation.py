@@ -30,10 +30,10 @@ __all__ = [
     "sg_channel_step",
     "canonical_phase",
     "align_phase",
-    "phase_aligned_mse",
 ]
 
 _DIVERGENCE_LIMIT = 1e6
+_COND_CAP = 1e12
 
 
 @dataclass
@@ -103,30 +103,17 @@ def align_phase(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return est * np.exp(1j * np.angle(ip))
 
 
-def phase_aligned_mse(est: np.ndarray, ref: np.ndarray) -> float:
-    """Squared error between `est` and the unit-normalized `ref`, minimized
-    over a common phase rotation."""
-    ref = np.asarray(ref, dtype=complex)
-    nrm = np.linalg.norm(ref)
-    if nrm == 0:
-        raise ValueError("reference channel is zero")
-    refn = ref / nrm
-    est = np.asarray(est, dtype=complex)
-    return float(np.vdot(est, est).real + 1.0 - 2.0 * abs(np.vdot(est, refn)))
-
-
 def estimate_channel_exact(
     r: np.ndarray,
     c: np.ndarray,
     power: int = 1,
     ridge: float = 1e-6,
-    cond_cap: float = 1e12,
 ) -> ChannelEstimate:
     """Minimum eigenvector of C^H R^-power C, unit norm, canonical phase.
 
     R is regularized with `ridge` on the diagonal and its spectrum is floored
-    so the condition number never exceeds `cond_cap`; ties at the bottom of
-    the spectrum resolve to the first eigenvector the decomposition returns.
+    so the condition number never exceeds 1e12; ties at the bottom of the
+    spectrum resolve to the first eigenvector the decomposition returns.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
@@ -134,7 +121,7 @@ def estimate_channel_exact(
     if not np.all(np.isfinite(r)):
         raise ConditioningError("covariance contains non-finite entries")
     vals, vecs = np.linalg.eigh((r + r.conj().T) / 2.0 + ridge * np.eye(r.shape[0]))
-    floor = vals.max() / cond_cap
+    floor = vals.max() / _COND_CAP
     vals = np.maximum(vals, floor)
     inv_p = (vecs * vals ** (-float(power))) @ vecs.conj().T
     quad = c.conj().T @ inv_p @ c

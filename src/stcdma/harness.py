@@ -135,7 +135,6 @@ def half_width(samples: np.ndarray) -> float:
 class TrialResult:
     """Per-symbol outcomes of one seeded trial."""
 
-    seed_key: tuple
     bit_errors: dict = field(default_factory=dict)   # algorithm -> (symbols,) 0..2
     channel_mse: dict = field(default_factory=dict)  # "channel-<mode>" -> (symbols,)
     diverged: dict = field(default_factory=dict)     # algorithm -> bool
@@ -368,7 +367,7 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         simulate_packet(streams, spreading, ch, noise_var, rng_noise, scn.include_isi)
         for ch in channels
     ]
-    result = TrialResult(seed_key=tuple(np.atleast_1d(ss.entropy)))
+    result = TrialResult()
     need_tracking = scn.channel_estimator != "genie" or any(a != "trained-lms" for a in scn.algorithms)
     if scn.tx_antennas == 2:
         cm = user_constraint_matrices(spreading, 0, scn.n_paths)

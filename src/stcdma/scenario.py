@@ -127,6 +127,9 @@ class Scenario:
             bad("ridge", "must be non-negative")
         if not 0 <= self.ber_skip < self.packet_symbols:
             bad("ber_skip", "must lie inside the packet")
+        for key in ("master_seed", "code_seed"):
+            if getattr(self, key) < 0:
+                bad(key, f"must be non-negative, got {getattr(self, key)}")
         if self.users + self.extra_users > self.gain:
             warnings.warn(
                 "system is overloaded: users exceed the processing gain",

@@ -18,6 +18,11 @@ Time variation uses block fading: the channel is constant over each block and
 every transmitted chip propagates through the channel of the block it was sent
 in, so the structured term above is exact and only eta carries neighbouring
 blocks' channels.
+
+`simulate_packet` is the one way to generate observations: a whole packet
+for one receive antenna, either from the structured term alone (eta = 0) or,
+with ``include_isi``, at chip rate with the spill.  With one transmit antenna
+each symbol is its own M-chip observation, y = A b conv H + eta + n.
 """
 
 from __future__ import annotations
@@ -33,12 +38,9 @@ __all__ = [
     "SymbolStream",
     "SpaceTimeChannel",
     "random_qpsk",
-    "random_symbol_stream",
     "alamouti_encode",
     "three_path_placement",
     "random_multipath_channel",
-    "flat_unit_channel",
-    "assemble_received_block",
     "simulate_packet",
 ]
 
@@ -76,12 +78,6 @@ class SymbolStream:
         return np.broadcast_to(np.asarray(self.amplitude, dtype=float), self.symbols.shape)
 
 
-def random_symbol_stream(
-    count: int, rng: np.random.Generator, amplitude: float | np.ndarray = 1.0
-) -> SymbolStream:
-    return SymbolStream(symbols=random_qpsk(count, rng), amplitude=amplitude)
-
-
 def alamouti_encode(b_odd, b_even):
     """Map a symbol pair onto the two antennas over two slots.
 
@@ -117,10 +113,6 @@ class SpaceTimeChannel:
     @property
     def n_paths(self) -> int:
         return self.taps.shape[1]
-
-    @property
-    def blocks(self) -> int:
-        return self.taps.shape[2]
 
     @property
     def stacked(self) -> np.ndarray:
@@ -176,13 +168,6 @@ def random_multipath_channel(
         else:
             gains = np.ones((len(delays), blocks), dtype=complex)
         taps[ant, delays, :] = amplitudes[:, None] * gains
-    return SpaceTimeChannel(taps=taps)
-
-
-def flat_unit_channel(tx_antennas: int, n_paths: int, blocks: int) -> SpaceTimeChannel:
-    """Deterministic single-tap channel with unit gain on every antenna."""
-    taps = np.zeros((tx_antennas, n_paths, blocks), dtype=complex)
-    taps[:, 0, :] = 1.0
     return SpaceTimeChannel(taps=taps)
 
 
@@ -254,111 +239,6 @@ def _received_chips(
 def _window_matrix(received: np.ndarray, slots: int, gain: int, window: int) -> np.ndarray:
     idx = np.arange(slots)[:, None] * gain + np.arange(window)[None, :]
     return received[idx]
-
-
-def assemble_received_block(
-    streams: list[SymbolStream],
-    spreading: SpreadingSet,
-    channels: list[SpaceTimeChannel],
-    block_index: int,
-    noise_var: float = 0.0,
-    rng: np.random.Generator | None = None,
-    include_isi: bool = False,
-) -> np.ndarray:
-    """One receive antenna's stacked observation for one block.
-
-    `channels` gives each user's channel to this antenna (pass the same object
-    K times for a common downlink channel).  With ``include_isi`` the exact
-    chip spill of the neighbouring slots is added to both windows; otherwise
-    only the block's own two symbols contribute.  Noise is drawn fresh for the
-    2M stacked samples.
-    """
-    if len(channels) != len(streams):
-        raise ValueError(
-            f"user/channel count mismatch: {len(streams)} streams, {len(channels)} channels"
-        )
-    if spreading.tx_antennas != 2:
-        raise ValueError("block assembly requires a two-antenna spreading set")
-    n = spreading.gain
-    lp = channels[0].n_paths
-    if any(c.n_paths != lp for c in channels):
-        raise ValueError("all channels must share n_paths")
-    m = n + lp - 1
-    y = np.zeros(2 * m, dtype=complex)
-    for user, (stream, channel) in enumerate(zip(streams, channels)):
-        cm = user_constraint_matrices(spreading, user, lp)
-        h = channel.stacked[:, block_index]
-        amp = stream.amplitude_per_symbol()[2 * block_index]
-        b1 = stream.symbols[2 * block_index]
-        b2 = stream.symbols[2 * block_index + 1]
-        y += amp * b1 * (cm.odd @ h) + amp * b2 * (cm.even @ np.conj(h))
-    if include_isi:
-        y += _block_isi(streams, spreading, channels, block_index)
-    y += _noise(2 * m, noise_var, rng)
-    return y
-
-
-def _block_isi(
-    streams: list[SymbolStream],
-    spreading: SpreadingSet,
-    channels: list[SpaceTimeChannel],
-    block_index: int,
-) -> np.ndarray:
-    """Exact chip spill of neighbouring slots into the block's two windows.
-
-    Window of slot t picks up the convolution tail of slot t-1 (its first
-    Lp-1 samples) and the head of slot t+1 (its last Lp-1 samples); each
-    contribution carries the channel of the block its chips were sent in.
-    """
-    n = spreading.gain
-    lp = channels[0].n_paths
-    m = n + lp - 1
-    nslots = len(streams[0])
-    eta = np.zeros(2 * m, dtype=complex)
-    for offset, slot in enumerate((2 * block_index, 2 * block_index + 1)):
-        window = np.zeros(m, dtype=complex)
-        for source in (slot - 1, slot + 1):
-            if source < 0 or source >= nslots:
-                continue
-            shift = (source - slot) * n  # chip offset of the source slot
-            for user, (stream, channel) in enumerate(zip(streams, channels)):
-                conv_full = _slot_convolution(
-                    stream, spreading, channel, user, source
-                )
-                for c in range(m):
-                    src = c - shift
-                    if 0 <= src < m:
-                        window[c] += conv_full[src]
-        start = offset * m
-        if offset == 1 and spreading.tx_antennas == 2:
-            eta[start : start + m] = np.conj(window)
-        else:
-            eta[start : start + m] = window
-    return eta
-
-
-def _slot_convolution(
-    stream: SymbolStream,
-    spreading: SpreadingSet,
-    channel: SpaceTimeChannel,
-    user: int,
-    slot: int,
-) -> np.ndarray:
-    """Chip-rate convolution of one user's slot with its block's channel."""
-    n = spreading.gain
-    lp = channel.n_paths
-    block = slot // 2
-    amp = stream.amplitude_per_symbol()[slot]
-    b1 = stream.symbols[2 * block]
-    b2 = stream.symbols[2 * block + 1] if 2 * block + 1 < len(stream) else 0.0
-    (s1a, s2a), (s1b, s2b) = alamouti_encode(b1, b2)
-    coeff = (s1a, s2a) if slot % 2 == 0 else (s1b, s2b)
-    out = np.zeros(n + lp - 1, dtype=complex)
-    for ant in range(spreading.tx_antennas):
-        chips = amp * coeff[ant] * spreading.code(user, ant)
-        taps = channel.taps[ant, :, block]
-        out += np.convolve(chips, taps)
-    return out
 
 
 def simulate_packet(

@@ -41,10 +41,6 @@ class SpreadingSet:
     scheme: str
 
     @property
-    def user_count(self) -> int:
-        return self.codes.shape[0]
-
-    @property
     def tx_antennas(self) -> int:
         return self.codes.shape[1]
 
@@ -127,14 +123,6 @@ class ConstraintMatrices:
 
     odd: np.ndarray
     even: np.ndarray
-
-    @property
-    def block_dim(self) -> int:
-        return self.odd.shape[0]
-
-    @property
-    def channel_dim(self) -> int:
-        return self.odd.shape[1]
 
 
 def build_constraint_matrices(c1: np.ndarray, c2: np.ndarray) -> ConstraintMatrices:

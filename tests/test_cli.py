@@ -65,8 +65,12 @@ def test_bad_grid_exits_one(config_path, capsys):
         (["ber-vs-snr", "--grid", "5", "--runs", "1"], {"STCDMA_WORKERS": "two"}, "STCDMA_WORKERS", "'two'"),
         (["ber-vs-snr", "--grid", ",", "--runs", "1"], {}, "--grid", "','"),
         (["ber-vs-symbols", "--grid", "0,250", "--runs", "1"], {}, "--grid", "250"),
+        (["ber-vs-snr", "--grid", "5", "--runs", "1", "--seed", "-1"], {}, "master_seed", "-1"),
     ],
-    ids=["runs-0", "smooth-window-0", "workers-negative", "env-workers-word", "grid-empty", "grid-outside-packet"],
+    ids=[
+        "runs-0", "smooth-window-0", "workers-negative", "env-workers-word", "grid-empty",
+        "grid-outside-packet", "seed-negative",
+    ],
 )
 def test_bad_arguments_exit_one_before_any_trial(config_path, monkeypatch, capsys, args, env, name, value):
     def no_trial(*_args):
@@ -79,6 +83,18 @@ def test_bad_arguments_exit_one_before_any_trial(config_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert name in err and value in err
+
+
+@pytest.mark.parametrize("key", ["master_seed", "code_seed"])
+def test_negative_seed_keys_exit_one_before_any_trial(tmp_path, monkeypatch, capsys, key):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran with a negative seed")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    path = tmp_path / "seed.cfg"
+    path.write_text(FAST_CONFIG + f"{key} = -1\n", encoding="utf-8")
+    assert main(["ber-vs-snr", "--config", str(path), "--grid", "5", "--runs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got -1")
 
 
 def test_snr_sweep_writes_schema_and_summary(config_path, tmp_path, capsys):

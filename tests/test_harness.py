@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stcdma import harness
-from stcdma.channel_estimation import phase_aligned_mse
+from stcdma.channel_estimation import align_phase
 from stcdma.harness import (
     channel_mse,
     half_width,
@@ -237,8 +237,10 @@ def test_sg_steps_run_once_per_block_per_receive_antenna(monkeypatch):
 
 # normalize_steps divides the ccm-sg and cmv-sg steps by the input power on
 # both antenna counts.  With 12 users at 6 dB a step of 0.01 is too large
-# unnormalized, so flipping the flag moves the bit errors.
-@pytest.mark.parametrize("alg", ["ccm-sg", "cmv-sg"])
+# unnormalized, so flipping the flag moves the bit errors.  Trained LMS is
+# the paper's plain LMS baseline and ignores the flag: its bit errors and
+# divergence flag stay identical.
+@pytest.mark.parametrize("alg", ["ccm-sg", "cmv-sg", "trained-lms"])
 @pytest.mark.parametrize("tx", [1, 2])
 def test_normalize_steps_changes_sg_receivers(tx, alg):
     base = dict(
@@ -251,11 +253,16 @@ def test_normalize_steps_changes_sg_receivers(tx, alg):
         step_ccm=0.01,
         step_cmv=0.01,
     )
-    errors = {
-        flag: run_trial(Scenario(**base, normalize_steps=flag).validate(), 5).bit_errors[alg]
+    trials = {
+        flag: run_trial(Scenario(**base, normalize_steps=flag).validate(), 5)
         for flag in (False, True)
     }
-    assert not np.array_equal(errors[False], errors[True])
+    same = np.array_equal(trials[False].bit_errors[alg], trials[True].bit_errors[alg])
+    if alg == "trained-lms":
+        assert same
+        assert trials[False].diverged == trials[True].diverged
+    else:
+        assert not same
 
 
 # At 0 dB the two antennas' output energies differ enough for mrc and egc to
@@ -327,7 +334,9 @@ def test_channel_mse_matches_scalar_metric():
     est = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
     ref = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
     out = channel_mse(est, ref)
-    oracle = [phase_aligned_mse(est[:, t], ref[:, t]) for t in range(9)]
+    # the squared distance to the unit reference after the best common phase
+    refn = ref / np.linalg.norm(ref, axis=0)
+    oracle = [np.linalg.norm(align_phase(est[:, t], refn[:, t]) - refn[:, t]) ** 2 for t in range(9)]
     assert np.allclose(out, oracle)
     # perfect unit estimate up to phase scores zero
     col = ref[:, 0] / np.linalg.norm(ref[:, 0])

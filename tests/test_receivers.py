@@ -219,7 +219,7 @@ def test_constraint_offsets_per_column_match_single_channels():
     rng, cm, _, restorers, h = _feasible_setup(13)
     hs = rng.standard_normal((h.size, 5)) + 1j * rng.standard_normal((h.size, 5))
     block = constraint_offsets(restorers, hs, 1.4)
-    assert block.shape == (2, cm.block_dim, 5)
+    assert block.shape == (2, cm.odd.shape[0], 5)
     for k in range(5):
         one = constraint_offsets(restorers, hs[:, k], 1.4)
         assert np.max(np.abs(block[:, :, k] - one)) < 1e-13

@@ -123,6 +123,8 @@ def test_bad_value_types_report_key():
         ("ridge", -1e-9),
         ("ber_skip", 1500),
         ("extra_users", -1),
+        ("master_seed", -1),
+        ("code_seed", -1),
     ],
 )
 def test_validate_rejects_and_names_field(field, value):

@@ -10,13 +10,16 @@ from stcdma.signal_model import (
     QPSK_POINTS,
     SymbolStream,
     alamouti_encode,
-    assemble_received_block,
     random_multipath_channel,
     random_qpsk,
     simulate_packet,
     three_path_placement,
 )
-from stcdma.spreading import random_spreading_set, user_constraint_matrices
+from stcdma.spreading import (
+    build_convolution_matrix,
+    random_spreading_set,
+    user_constraint_matrices,
+)
 
 
 def _random_streams(count, nsym, rng, amplitudes=None):
@@ -78,50 +81,51 @@ def test_multipath_channel_static_when_fading_off():
         assert np.array_equal(ch.taps[:, :, b], ch.taps[:, :, 0])
 
 
-def test_assemble_single_user_flat_terms():
-    """With one user, one tap, and unit channel the block is the bare
-    two-term structured model."""
+# The packet generator on both antenna counts and both spill modes.
+_PACKET_MODES = [(tx, isi) for tx in (1, 2) for isi in (False, True)]
+
+
+def test_packet_single_user_flat_terms():
+    """With one user, one tap and a unit channel, every observation is the
+    bare structured model: per block b1 C H + b2 Cbar conj(H) with two
+    transmit antennas, per symbol b conv H with one."""
     rng = np.random.default_rng(5)
-    sp = random_spreading_set(1, 8, "zero-padded", 2, seed=1)
-    ch = random_multipath_channel(2, 1, 1, 0.0, rng, relative_powers_db=(0.0,), fading="off")
-    ch.taps[:] = 1.0
-    streams = _random_streams(1, 2, rng)
-    y = assemble_received_block([streams[0]], sp, [ch], 0, noise_var=0.0)
-    cm = user_constraint_matrices(sp, 0, 1)
-    h = ch.stacked[:, 0]
-    expected = streams[0].symbols[0] * (cm.odd @ h) + streams[0].symbols[1] * (
-        cm.even @ np.conj(h)
-    )
-    assert np.allclose(y, expected, atol=1e-14)
+    for tx, isi in _PACKET_MODES:
+        sp = random_spreading_set(1, 8, "zero-padded", tx, seed=1)
+        ch = random_multipath_channel(tx, 1, 3, 0.0, rng, relative_powers_db=(0.0,), fading="off")
+        ch.taps[:] = 1.0
+        streams = _random_streams(1, 6, rng)
+        y = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=isi)
+        b = streams[0].symbols
+        h = ch.stacked[:, 0]
+        if tx == 2:
+            cm = user_constraint_matrices(sp, 0, 1)
+            expected = np.outer(cm.odd @ h, b[0::2]) + np.outer(cm.even @ np.conj(h), b[1::2])
+        else:
+            expected = np.outer(build_convolution_matrix(sp.code(0, 0), 1) @ h, b)
+        assert np.allclose(y, expected, atol=1e-14), (tx, isi)
 
 
-def test_assemble_additive_in_users_and_homogeneous():
+def test_packet_additive_in_users_and_homogeneous():
     rng = np.random.default_rng(6)
-    sp = random_spreading_set(2, 8, "zero-padded", 2, seed=2)
-    ch = random_multipath_channel(2, 2, 1, 0.0, rng, relative_powers_db=(0.0, -3.0), fading="clarke")
-    streams = _random_streams(2, 2, rng, amplitudes=[1.0, 1.7])
 
     def silence(stream):
         return SymbolStream(symbols=stream.symbols, amplitude=0.0)
 
-    both = assemble_received_block(streams, sp, [ch, ch], 0, noise_var=0.0)
-    one = assemble_received_block([streams[0], silence(streams[1])], sp, [ch, ch], 0, noise_var=0.0)
-    two = assemble_received_block([silence(streams[0]), streams[1]], sp, [ch, ch], 0, noise_var=0.0)
-    assert np.allclose(both, one + two, atol=1e-13)
-    scaled = [SymbolStream(symbols=streams[0].symbols, amplitude=3.0), silence(streams[1])]
-    tripled = assemble_received_block(scaled, sp, [ch, ch], 0, noise_var=0.0)
-    assert np.allclose(tripled, 3.0 * one, atol=1e-13)
+    for tx, isi in _PACKET_MODES:
+        sp = random_spreading_set(2, 8, "zero-padded", tx, seed=2)
+        ch = random_multipath_channel(tx, 2, 3, 0.001, rng, relative_powers_db=(0.0, -3.0), fading="clarke")
+        streams = _random_streams(2, 6, rng, amplitudes=[1.0, 1.7])
 
+        def packet(users):
+            return simulate_packet(users, sp, ch, 0.0, rng, include_isi=isi)
 
-def test_assemble_matches_packet_columns():
-    rng = np.random.default_rng(7)
-    sp = random_spreading_set(3, 8, "zero-padded", 2, seed=3)
-    ch = random_multipath_channel(2, 3, 4, 0.0005, rng, fading="clarke")
-    streams = _random_streams(3, 8, rng, amplitudes=[1.0, 0.8, 1.3])
-    packet = simulate_packet(streams, sp, ch, 0.0, rng)
-    for block in range(4):
-        column = assemble_received_block(streams, sp, [ch] * 3, block, noise_var=0.0)
-        assert np.allclose(column, packet[:, block], atol=1e-13)
+        both = packet(streams)
+        one = packet([streams[0], silence(streams[1])])
+        two = packet([silence(streams[0]), streams[1]])
+        assert np.allclose(both, one + two, atol=1e-13), (tx, isi)
+        scaled = [SymbolStream(symbols=streams[0].symbols, amplitude=3.0), silence(streams[1])]
+        assert np.allclose(packet(scaled), 3.0 * one, atol=1e-13), (tx, isi)
 
 
 @settings(max_examples=15, deadline=None)
@@ -188,15 +192,6 @@ def test_window_length_follows_path_count():
         streams = _random_streams(1, 2, rng)
         y = simulate_packet(streams, sp, ch, 0.0, rng)
         assert y.shape == (2 * (8 + lp - 1), 1)
-
-
-def test_assemble_rejects_count_mismatch():
-    rng = np.random.default_rng(12)
-    sp = random_spreading_set(2, 8, "zero-padded", 2, seed=8)
-    ch = random_multipath_channel(2, 2, 1, 0.0, rng, relative_powers_db=(0.0, -3.0), fading="off")
-    streams = _random_streams(2, 2, rng)
-    with pytest.raises(ValueError):
-        assemble_received_block(streams, sp, [ch], 0, noise_var=0.0)
 
 
 def test_single_antenna_packet_shape():

@@ -79,8 +79,6 @@ def test_constraint_matrix_shapes_match_window():
     cm = user_constraint_matrices(sp, 0, 6)
     assert cm.odd.shape == (74, 12)
     assert cm.even.shape == (74, 12)
-    assert cm.block_dim == 74
-    assert cm.channel_dim == 12
 
 
 def test_constraint_cross_product_block_structure():
