@@ -9,6 +9,12 @@ noise-subspace projector V_n V_n^H as p grows (signal directions are damped by
 directly.  The exact estimator here takes the minimum eigenvector of
 C^H R^-p C; the stochastic-gradient tracker follows the same quantity with a
 power-method-style recursion that never decomposes anything.
+
+The harness refreshes the exact estimate once per block, from a covariance
+folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
+both antenna counts.  The stochastic steps run once per observation, so
+`PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
+with one transmit antenna, per block with two.
 """
 
 from __future__ import annotations
@@ -96,11 +102,36 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
 
 
 def align_phase(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Rotate `est` so its inner product with `ref` is real non-negative."""
-    ip = np.vdot(est, ref)
-    if ip == 0:
-        return np.asarray(est, dtype=complex).copy()
-    return est * np.exp(1j * np.angle(ip))
+    """Rotate `est` so its inner product with `ref` is real non-negative.
+
+    A (dim, T) pair is aligned column by column in one call.  A zero inner
+    product has angle 0 and leaves its vector as it is.
+    """
+    est = np.asarray(est, dtype=complex)
+    return est * np.exp(1j * np.angle(np.sum(est.conj() * ref, axis=0)))
+
+
+def _cholesky_form(a: np.ndarray, c: np.ndarray, power: int) -> np.ndarray:
+    """C^H A^-power C as Z^H Z, from the Cholesky factor A = L L^H: Z is
+    A^-(power // 2) C, solved by L once more for an odd power.  Raises
+    ``LinAlgError`` when A is not positive definite."""
+    low = np.linalg.cholesky(a)
+    z = c
+    for _ in range(power // 2):
+        z = np.linalg.solve(low.conj().T, np.linalg.solve(low, z))
+    if power % 2:
+        z = np.linalg.solve(low, z)
+    return z.conj().T @ z
+
+
+def _eigh_form(a: np.ndarray, c: np.ndarray, power: int) -> np.ndarray:
+    """C^H A^-power C from the eigendecomposition of A, its spectrum floored
+    so the condition number never exceeds the cap."""
+    vals, vecs = np.linalg.eigh(a)
+    floor = vals.max() / _COND_CAP
+    vals = np.maximum(vals, floor)
+    inv_p = (vecs * vals ** (-float(power))) @ vecs.conj().T
+    return c.conj().T @ inv_p @ c
 
 
 def estimate_channel_exact(
@@ -114,17 +145,28 @@ def estimate_channel_exact(
     R is regularized with `ridge` on the diagonal and its spectrum is floored
     so the condition number never exceeds 1e12; ties at the bottom of the
     spectrum resolve to the first eigenvector the decomposition returns.
+
+    The floor cannot act when ``ridge > 0`` and ``ridge * (1e12 - 1) >=
+    trace(R)``: for a covariance R the loaded spectrum then lies in [ridge,
+    trace(R) + ridge], a condition number of at most 1e12.  There C^H (R +
+    ridge I)^-power C comes from a Cholesky factor and solves by it, several
+    times cheaper; otherwise, or if the factorization fails, from the floored
+    eigendecomposition.  Ridge 0 always takes the eigendecomposition.
     """
     if power < 1:
         raise ValueError("power must be a positive integer")
     r = np.asarray(r, dtype=complex)
     if not np.all(np.isfinite(r)):
         raise ConditioningError("covariance contains non-finite entries")
-    vals, vecs = np.linalg.eigh((r + r.conj().T) / 2.0 + ridge * np.eye(r.shape[0]))
-    floor = vals.max() / _COND_CAP
-    vals = np.maximum(vals, floor)
-    inv_p = (vecs * vals ** (-float(power))) @ vecs.conj().T
-    quad = c.conj().T @ inv_p @ c
+    a = (r + r.conj().T) / 2.0 + ridge * np.eye(r.shape[0])
+    quad = None
+    if ridge > 0 and ridge * (_COND_CAP - 1) >= np.trace(r).real:
+        try:
+            quad = _cholesky_form(a, c, power)
+        except np.linalg.LinAlgError:
+            pass
+    if quad is None:
+        quad = _eigh_form(a, c, power)
     quad = (quad + quad.conj().T) / 2.0
     qvals, qvecs = np.linalg.eigh(quad)
     vec = qvecs[:, int(np.argmin(qvals))]

@@ -245,9 +245,11 @@ def _run_sweep_command(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _use_one_blas_thread()
-    if args.command == "selftest":
-        return 0 if run_selftest(args.seed) else 2
     try:
+        if args.command == "selftest":
+            if args.seed < 0:
+                raise ScenarioError(f"--seed: must be non-negative, got {args.seed}")
+            return 0 if run_selftest(args.seed) else 2
         return _run_sweep_command(args)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

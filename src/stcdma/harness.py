@@ -7,7 +7,11 @@ trials never perturbs existing ones.  Channel estimates are computed once per
 trial (they depend only on the received data) and shared by every receiver
 that consumes them; blind estimates are phase-aligned to the true channel
 before use, the usual pilot-equivalent resolution of the blind phase
-ambiguity, consistent with the phase-aligned error metric.  One loop adapts
+ambiguity, consistent with the phase-aligned error metric.  The svd estimate
+refreshes once per block on both antenna counts, each refresh window folded
+into the covariance in one product; the sg tracker steps once per
+observation column, so its rates are per symbol with one transmit antenna
+and per block with two.  One loop adapts
 every receiver on both antenna counts: a receiver is a list of constrained
 branches, two per block with two transmit antennas and one per symbol with
 one, and each observation column is one step of every branch.  The loop
@@ -203,37 +207,63 @@ def _build_channels(scn: Scenario, rng_channel) -> list:
     ]
 
 
-class _Tracker:
-    """Per-antenna blind channel estimation (svd or sg) shared by all
-    receivers in a trial."""
+def _track_svd(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
+    """Subspace channel estimate of one receive antenna, phase-aligned to
+    ``true``; returns the (dim, blocks) trace and whether it diverged.
 
-    def __init__(self, mode: str, scn: Scenario, c: np.ndarray, true_stacked: np.ndarray):
-        self.mode = mode
-        self.c = c
-        self.true = true_stacked
-        self.scn = scn
-        start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
-        self.estimate = ChannelEstimate(vector=start, method=mode)
-        if mode == "svd":
-            self.cov = CovarianceEstimate(c.shape[0], forgetting=scn.cov_forgetting)
-        else:
-            self.psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
+    The estimate refreshes at block 0 and at every block b with
+    ``(b + 1) % estimator_refresh == 0``, each time after folding the blocks
+    since the last refresh into the covariance, and holds until the next.
+    Every observation of a block is folded before its refresh: both symbols
+    with one transmit antenna.  A failing refresh freezes the last good
+    estimate for the rest of the packet.
+    """
+    per_block = y.shape[1] // scn.blocks
+    dim = c.shape[1]
+    points = [b for b in range(scn.blocks) if b == 0 or (b + 1) % scn.estimator_refresh == 0]
+    cov = CovarianceEstimate(c.shape[0], forgetting=scn.cov_forgetting)
+    vector = np.ones(dim, dtype=complex) / np.sqrt(dim)
+    vectors = np.empty((dim, len(points)), dtype=complex)
+    diverged = False
+    start = 0
+    for i, b in enumerate(points):
+        cov.update_batch(y[:, start * per_block : (b + 1) * per_block])
+        start = b + 1
+        try:
+            vector = estimate_channel_exact(
+                cov.matrix, c, power=scn.subspace_power, ridge=scn.ridge
+            ).vector
+        except ArithmeticError:  # ConditioningError, StepSizeError
+            diverged = True
+            vectors[:, i:] = vector[:, None]
+            break
+        vectors[:, i] = vector
+    held = np.searchsorted(points, np.arange(scn.blocks), side="right") - 1
+    return align_phase(vectors[:, held], true), diverged
 
-    def update(self, y: np.ndarray, block: int) -> np.ndarray:
-        """Fold in one observation; return the phase-aligned unit estimate."""
-        if self.mode == "svd":
-            self.cov.update(y)
-            if block == 0 or (block + 1) % self.scn.estimator_refresh == 0:
-                self.estimate = estimate_channel_exact(
-                    self.cov.matrix,
-                    self.c,
-                    power=self.scn.subspace_power,
-                    ridge=self.scn.ridge,
-                )
-        else:
-            self.psi = sg_psi_step(self.psi, y)
-            self.estimate = sg_channel_step(self.estimate, self.psi, self.c)
-        return align_phase(self.estimate.vector, self.true[:, block])
+
+def _track_sg(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
+    """Stochastic-gradient channel tracker of one receive antenna, one step
+    per observation column (per symbol with one transmit antenna, per block
+    with two); returns the phase-aligned (dim, blocks) trace of each block's
+    last estimate and whether it diverged.  A failing step freezes the last
+    good estimate for the rest of the packet."""
+    per_block = y.shape[1] // scn.blocks
+    dim = c.shape[1]
+    psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
+    estimate = ChannelEstimate(vector=np.ones(dim, dtype=complex) / np.sqrt(dim), method="sg")
+    trace = np.empty((dim, scn.blocks), dtype=complex)
+    diverged = False
+    for t in range(y.shape[1]):
+        try:
+            psi = sg_psi_step(psi, y[:, t])
+            estimate = sg_channel_step(estimate, psi, c)
+        except ArithmeticError:  # ConditioningError, StepSizeError
+            diverged = True
+            trace[:, t // per_block :] = estimate.vector[:, None]
+            break
+        trace[:, t // per_block] = estimate.vector
+    return align_phase(trace, true), diverged
 
 
 def _bit_errors(decided: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -375,34 +405,16 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
     else:
         cs = (build_convolution_matrix(spreading.code(0, 0), scn.n_paths),)
     ests = []
-    tracking_diverged = False
     if need_tracking and scn.channel_estimator == "genie":
         ests = [s / np.linalg.norm(s, axis=0) for s in (ch.stacked for ch in channels)]
     elif need_tracking:
-        mse_per_antenna = []
-        for m, ch in enumerate(channels):
-            tracker = _Tracker(scn.channel_estimator, scn, cs[0], ch.stacked)
-            trace = np.empty((cs[0].shape[1], scn.blocks), dtype=complex)
-            # One-antenna trackers fold in every symbol, two per block.
-            per_block = ys[m].shape[1] // scn.blocks
-            observations = ((t // per_block, ys[m][:, t]) for t in range(ys[m].shape[1]))
-            frozen = None
-            for block, y in observations:
-                if frozen is None:
-                    try:
-                        vec = tracker.update(y, block)
-                    except (StepSizeError, ArithmeticError):
-                        tracking_diverged = True
-                        frozen = align_phase(tracker.estimate.vector, tracker.true[:, block])
-                        vec = frozen
-                else:
-                    vec = align_phase(frozen, tracker.true[:, block])
-                trace[:, block] = vec
-            ests.append(trace)
-            mse_per_antenna.append(channel_mse(trace, ch.stacked))
-        mse_blocks = np.mean(mse_per_antenna, axis=0)
-        result.channel_mse[f"channel-{scn.channel_estimator}"] = np.repeat(mse_blocks, 2)
-        result.diverged[f"channel-{scn.channel_estimator}"] = tracking_diverged
+        track = _track_svd if scn.channel_estimator == "svd" else _track_sg
+        tracked = [track(scn, cs[0], y, ch.stacked) for y, ch in zip(ys, channels)]
+        ests = [trace for trace, _ in tracked]
+        mse_blocks = np.mean([channel_mse(e, ch.stacked) for e, ch in zip(ests, channels)], axis=0)
+        name = f"channel-{scn.channel_estimator}"
+        result.channel_mse[name] = np.repeat(mse_blocks, 2)
+        result.diverged[name] = any(diverged for _, diverged in tracked)
     truth = streams[0].symbols
     for alg in scn.algorithms:
         outputs, diverged = _adapt(alg, scn, ys, ests, truth, cs)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stcdma import channel_estimation
 from stcdma.channel_estimation import (
     ChannelEstimate,
     CovarianceEstimate,
@@ -108,6 +109,64 @@ def test_inverse_power_rejects_bad_arguments():
         estimate_channel_exact(r, np.eye(3), power=0)
 
 
+def _spy_forms(monkeypatch):
+    """Count the calls of each path that forms C^H A^-power C."""
+    calls = {"_cholesky_form": 0, "_eigh_form": 0}
+    for name in calls:
+        real = getattr(channel_estimation, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(channel_estimation, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_cholesky_and_eigh_forms_agree_on_well_conditioned_covariance(monkeypatch, power):
+    rng = np.random.default_rng(power)
+    g = rng.standard_normal((10, 40)) + 1j * rng.standard_normal((10, 40))
+    r = g @ g.conj().T / 40 + 0.1 * np.eye(10)
+    c = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+    a = r + 1e-6 * np.eye(10)
+    chol = channel_estimation._cholesky_form(a, c, power)
+    eig = channel_estimation._eigh_form(a, c, power)
+    assert np.linalg.norm(chol - eig) <= 1e-12 * np.linalg.norm(eig)
+    calls = _spy_forms(monkeypatch)
+    est = estimate_channel_exact(r, c, power=power, ridge=1e-6)
+    assert calls == {"_cholesky_form": 1, "_eigh_form": 0}
+    qvals, qvecs = np.linalg.eigh((eig + eig.conj().T) / 2)
+    ref = qvecs[:, np.argmin(qvals)]
+    assert np.allclose(align_phase(est.vector, ref), ref, rtol=0, atol=1e-10)
+
+
+# Both cases load R to the spectrum 1e4, 1, 1.1e-8, 1e-9: ridge 0 on that
+# diagonal, or ridge 1e-9 on diag(1e4, 1, 1e-8, 0), whose trace exceeds
+# ridge * (1e12 - 1) = 1e3.  The 1e12 condition floor lifts the last value to
+# 1e-8.  C weighs the last two directions so that the floor decides the
+# estimate: the unfloored form's minimum eigenvector is e2, the floored e1.
+_FLOOR_C = np.array([[1, 1], [1, -1], [0, 2], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "ridge, diag",
+    [(0.0, [1e4, 1.0, 1.1e-8, 1e-9]), (1e-9, [1e4, 1.0, 1e-8, 0.0])],
+    ids=["ridge-0", "trace-over-cap"],
+)
+def test_eigh_path_keeps_the_condition_floor(monkeypatch, ridge, diag):
+    r = np.diag(diag).astype(complex)
+    calls = _spy_forms(monkeypatch)
+    est = estimate_channel_exact(r, _FLOOR_C, power=1, ridge=ridge)
+    assert calls["_eigh_form"] == 1
+    # Loaded spectrum 1e4, 1, 1.1e-8, 1e-9; floored, 1e4, 1, 1.1e-8, 1e-8.
+    weights = 1.0 / np.array([1e4, 1.0, 1.1e-8, 1e-8])
+    floored = _FLOOR_C.conj().T @ (weights[:, None] * _FLOOR_C)
+    qvals, qvecs = np.linalg.eigh(floored)
+    assert _mse(est.vector, qvecs[:, np.argmin(qvals)]) < 1e-12
+    assert abs(est.vector[0]) > 0.99
+
+
 def test_noise_projector_annihilates_signatures():
     _, sp, ch, h, r, cm = _planted_system(2, users=2)
     proj = noise_subspace_projector(r, signal_dim=4)
@@ -137,6 +196,13 @@ def test_align_phase_maximizes_real_overlap():
     ip = np.vdot(out, ref)
     assert ip.imag == pytest.approx(0.0, abs=1e-10)
     assert ip.real >= 0
+    # a (dim, T) pair aligns column by column; a zero overlap leaves its column
+    refs = np.stack([ref, np.zeros(5), 1j * ref], axis=1)
+    ests = np.stack([est, est, est], axis=1)
+    cols = align_phase(ests, refs)
+    for t in range(3):
+        assert np.allclose(cols[:, t], align_phase(est, refs[:, t]), rtol=0, atol=1e-14)
+    assert np.array_equal(cols[:, 1], est)
 
 
 def test_phase_aligned_mse_formula():

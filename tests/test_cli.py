@@ -38,6 +38,15 @@ def test_selftest_passes():
     assert main(["selftest"]) == 0
 
 
+def test_selftest_negative_seed_exits_one(monkeypatch, capsys):
+    def no_check(*_args):
+        raise AssertionError("a check ran with a negative seed")
+
+    monkeypatch.setattr("stcdma.cli.run_selftest", no_check)
+    assert main(["selftest", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: --seed: must be non-negative, got -1")
+
+
 def test_missing_config_reports_path(capsys):
     code = main(["ber-vs-snr", "--config", "/nonexistent/x.cfg", "--grid", "5"])
     assert code == 1

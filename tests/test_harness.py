@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from stcdma import harness
-from stcdma.channel_estimation import align_phase
+from stcdma.channel_estimation import CovarianceEstimate, align_phase
+from stcdma.errors import ConditioningError
 from stcdma.harness import (
     channel_mse,
     half_width,
@@ -16,7 +17,7 @@ from stcdma.harness import (
     sweep,
     trial_seed,
 )
-from stcdma.scenario import Scenario, parse_scenario_file
+from stcdma.scenario import ALGORITHMS, Scenario, parse_scenario_file
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -307,6 +308,118 @@ def test_oversized_channel_step_flags_tracking_divergence():
     tr = run_trial(scn, 3)
     assert tr.diverged["channel-sg"]
     assert np.all(np.isfinite(tr.channel_mse["channel-sg"]))
+
+
+def _eigh_estimate(r, c, power, ridge, cap=1e12):
+    """Minimum eigenvector of C^H (R + ridge I)^-power C, the loaded spectrum
+    floored at its maximum over ``cap``, by full eigendecompositions."""
+    vals, vecs = np.linalg.eigh((r + r.conj().T) / 2 + ridge * np.eye(r.shape[0]))
+    vals = np.maximum(vals, vals.max() / cap)
+    quad = c.conj().T @ (vecs * vals ** -float(power)) @ vecs.conj().T @ c
+    qvals, qvecs = np.linalg.eigh((quad + quad.conj().T) / 2)
+    return qvecs[:, np.argmin(qvals)]
+
+
+def _reference_svd_trace(scn, c, y, true):
+    """The svd tracker one observation at a time: a sequential covariance
+    update per column and a fresh estimate at every observation of a refresh
+    block, each block keeping its last estimate."""
+    per_block = y.shape[1] // scn.blocks
+    cov = CovarianceEstimate(c.shape[0], forgetting=scn.cov_forgetting)
+    trace = np.empty((c.shape[1], scn.blocks), dtype=complex)
+    for t in range(y.shape[1]):
+        b = t // per_block
+        cov.update(y[:, t])
+        if b == 0 or (b + 1) % scn.estimator_refresh == 0:
+            vec = _eigh_estimate(cov.matrix, c, scn.subspace_power, scn.ridge)
+        trace[:, b] = align_phase(vec, true[:, b])
+    return trace
+
+
+def _synthetic_packet(per_block, blocks, seed, dim=12, cdim=3, interferers=3):
+    """A desired signature C h under QPSK, interferers and noise: the
+    (dim, cdim) constraint, the (dim, blocks * per_block) observations and the
+    (cdim, blocks) true channel."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def qpsk(rows, cols):
+        return (rng.choice([-1.0, 1.0], (rows, cols)) + 1j * rng.choice([-1.0, 1.0], (rows, cols))) / np.sqrt(2)
+
+    n = blocks * per_block
+    c = gaussian(dim, cdim)
+    h = gaussian(cdim)
+    h /= np.linalg.norm(h)
+    y = np.outer(c @ h, qpsk(1, n)[0]) + 0.5 * gaussian(dim, interferers) @ qpsk(interferers, n)
+    y += 0.1 * gaussian(dim, n)
+    return c, y, np.repeat(h[:, None], blocks, axis=1)
+
+
+@pytest.mark.parametrize("forgetting", [0.98, 1.0])
+@pytest.mark.parametrize("refresh", [1, 7, 25])
+@pytest.mark.parametrize("tx", [1, 2])
+def test_windowed_svd_tracker_matches_per_observation_reference(tx, refresh, forgetting):
+    scn = _tiny_scenario(
+        tx_antennas=tx, channel_estimator="svd", estimator_refresh=refresh, cov_forgetting=forgetting
+    )
+    c, y, true = _synthetic_packet(3 - tx, scn.blocks, seed=refresh)
+    trace, diverged = harness._track_svd(scn, c, y, true)
+    reference = _reference_svd_trace(scn, c, y, true)
+    assert not diverged
+    assert trace.shape == reference.shape == (c.shape[1], scn.blocks)
+    # Until a refresh has folded at least dim observations, the covariance is
+    # rank deficient (rank one at block 0) and the loaded matrix has a
+    # condition number near 1e8-1e9, so rounding moves those estimates more.
+    per_block = y.shape[1] // scn.blocks
+    full_rank = next(
+        b for b in range(scn.blocks)
+        if (b == 0 or (b + 1) % refresh == 0) and (b + 1) * per_block >= c.shape[0]
+    )
+    assert np.max(np.abs(trace[:, :full_rank] - reference[:, :full_rank])) < 1e-6
+    assert np.max(np.abs(trace[:, full_rank:] - reference[:, full_rank:])) < 1e-10
+
+
+@pytest.mark.parametrize("failing", [0, 3])
+@pytest.mark.parametrize("tx", [1, 2])
+def test_failing_svd_refresh_freezes_the_last_estimate(monkeypatch, tx, failing):
+    scn = _tiny_scenario(
+        tx_antennas=tx, algorithms=ALGORITHMS, channel_estimator="svd", estimator_refresh=10,
+        filter_refresh=10, fading="clarke", doppler=0.002,
+    )
+    real_estimate = harness.estimate_channel_exact
+    real_track = harness._track_svd
+    returned, tracked = [], []
+
+    def failing_estimate(*args, **kwargs):
+        if len(returned) == failing:
+            raise ConditioningError("refresh failed")
+        est = real_estimate(*args, **kwargs)
+        returned.append(est.vector)
+        return est
+
+    def recording_track(scn, c, y, true):
+        out = real_track(scn, c, y, true)
+        tracked.append((c, true, *out))
+        return out
+
+    monkeypatch.setattr(harness, "estimate_channel_exact", failing_estimate)
+    monkeypatch.setattr(harness, "_track_svd", recording_track)
+    tr = run_trial(scn, 3)
+    assert tr.diverged["channel-svd"]
+    [(c, true, trace, diverged)] = tracked
+    assert diverged
+    # Refreshes run at blocks 0, 9, 19, ...; the one that fails, and every
+    # block after the last good refresh, keeps the last good estimate (the
+    # start vector when the first refresh fails).
+    held_from = 0 if failing <= 1 else 10 * (failing - 1) - 1
+    last = returned[-1] if returned else np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
+    for b in range(held_from, scn.blocks):
+        assert np.allclose(trace[:, b], align_phase(last, true[:, b]), rtol=0, atol=1e-12)
+    assert np.all(np.isfinite(tr.channel_mse["channel-svd"]))
+    assert sorted(tr.bit_errors) == sorted(ALGORITHMS)
+    assert all(errs.shape == (scn.packet_symbols,) for errs in tr.bit_errors.values())
 
 
 def test_smooth_series_matches_loop():
