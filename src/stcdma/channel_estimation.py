@@ -7,24 +7,28 @@ eigendecomposition of R can be avoided: (R / sigma^2)^-p converges to the
 noise-subspace projector V_n V_n^H as p grows (signal directions are damped by
 (1 + lambda_s / sigma^2)^-p), and the scale-invariant argmin works with R^-p
 directly.  The exact estimator here takes the minimum eigenvector of
-C^H R^-p C; the stochastic-gradient tracker follows the same quantity with a
-power-method-style recursion that never decomposes anything.
+C^H R^-p C; the stochastic-gradient tracker `sg_track` follows the same
+quantity with a power-method-style recursion that never decomposes anything.
 
 The harness refreshes the exact estimate once per block, from a covariance
 folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
-both antenna counts.  The stochastic steps run once per observation, so
-`PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
-with one transmit antenna, per block with two.
+both antenna counts.  The stochastic steps are defined once per observation,
+so `PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
+with one transmit antenna, per block with two.  `sg_track` computes them 64
+observations at a time: one triangular solve gives the chunk's psi
+recursion and one cumulative sum every C^H psi, while the divergence check
+and the rules that skip a degenerate channel step still act per observation.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, StepSizeError
+from .errors import ConditioningError
 
 __all__ = [
     "CovarianceEstimate",
@@ -32,13 +36,13 @@ __all__ = [
     "estimate_channel_exact",
     "scaled_inverse_power",
     "PsiEstimate",
-    "sg_psi_step",
-    "sg_channel_step",
+    "sg_track",
     "canonical_phase",
     "align_phase",
 ]
 
 _DIVERGENCE_LIMIT = 1e6
+_SG_CHUNK = 64
 _COND_CAP = 1e12
 
 
@@ -208,36 +212,84 @@ class PsiEstimate:
         return PsiEstimate(psi=np.asarray(c, dtype=complex).copy(), alpha=alpha, mu=mu)
 
 
-def sg_psi_step(est: PsiEstimate, y: np.ndarray) -> PsiEstimate:
-    """One stochastic update of the subspace recursion."""
-    yh_psi = y.conj() @ est.psi
-    est.psi = est.alpha * est.psi + est.mu * (est.psi - np.outer(y, yh_psi))
-    norm = np.linalg.norm(est.psi)
-    if not np.isfinite(norm) or norm > _DIVERGENCE_LIMIT:
-        raise StepSizeError(
-            f"subspace recursion diverged (norm {norm:.3g}); reduce the step size"
-        )
-    return est
+def sg_track(
+    psi: PsiEstimate, c: np.ndarray, ys: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Track the channel over the observation columns of `ys` ((rows, n)).
 
+    Each observation y runs the subspace recursion psi <- a psi - mu y w, with
+    a = alpha + mu and w = y^H psi, then one power-method-style step
+    h <- normalize(h - Omega h / trace(Omega)) on Omega = C^H psi; for a fixed
+    positive-definite Omega that iteration converges to Omega's minimum
+    eigenvector.  Returns the (dim, n) estimates, one column per observation
+    and starting from `start`, and whether the recursion diverged.  `psi`
+    ends at the state after the last observation, or at the start of the
+    chunk in which a step diverged.
 
-def sg_channel_step(
-    h_est: ChannelEstimate, psi: PsiEstimate, c: np.ndarray
-) -> ChannelEstimate:
-    """Power-method-style refinement of the channel estimate.
+    The recursion runs `_SG_CHUNK` observations at a time.  Within a chunk,
+    observation j reads the state psi_j and leaves psi_(j+1).  Scaling
+    w_j = y_j^H psi_j by a^-j gives u_j = w_j / a^j, with
 
-    Forms Omega = C^H psi and applies I - Omega / trace(Omega) followed by
-    renormalization; for a fixed positive-definite Omega the iteration
-    converges to Omega's minimum eigenvector.  Degenerate steps (zero trace or
-    vanishing iterate) are skipped with a warning.
+        u_j = y_j^H psi_0 - (mu / a) sum_{s<j} (y_j^H y_s) u_s,
+
+    so one unit lower triangular solve over the chunk's Gram matrix gives
+    every u.  It is solved reversed, as an upper triangular system, so
+    partial pivoting never swaps a row: the solve is plain substitution in
+    observation order, and rows after a diverged step cannot leak into
+    earlier ones.  Then psi_(j+1) / a^(j+1) = psi_0 - (mu / a) sum_{s<=j}
+    y_s u_s, so every Omega_j, up to that positive scale, which the channel
+    step does not see, is one cumulative sum of the outer products
+    (C^H y_s) u_s.  Omega_0 = C^H psi_0 and ||psi_0|| are computed exactly
+    at every chunk start, which caps the drift.  Two checks still act per
+    observation:
+
+    - step j diverges when ||psi_(j+1)|| is non-finite or above 1e6, from
+      ||psi_(j+1)||^2 = a^2 ||psi_j||^2 + (mu^2 ||y_j||^2 - 2 a mu) ||w_j||^2;
+      its column and every later one hold the last good estimate;
+    - a zero trace of Omega itself, or a vanishing or non-finite iterate,
+      skips that channel step with a warning and keeps the estimate.
     """
-    omega = c.conj().T @ psi.psi
-    trace = np.trace(omega)
-    if abs(trace) < 1e-300:
-        warnings.warn("zero-trace channel step skipped", RuntimeWarning, stacklevel=2)
-        return h_est
-    h = h_est.vector - (omega @ h_est.vector) / trace
-    norm = np.linalg.norm(h)
-    if not np.isfinite(norm) or norm == 0.0:
-        warnings.warn("degenerate channel step skipped", RuntimeWarning, stacklevel=2)
-        return h_est
-    return ChannelEstimate(vector=h / norm, method="subspace-sg")
+    a = psi.alpha + psi.mu
+    rate = psi.mu / a
+    h = np.asarray(start, dtype=complex)
+    n = ys.shape[1]
+    out = np.empty((h.shape[0], n), dtype=complex)
+    eye = np.eye(h.shape[0])
+    for lo in range(0, n, _SG_CHUNK):
+        y = ys[:, lo : lo + _SG_CHUNK]
+        k = y.shape[1]
+        gram = y.conj().T @ y
+        # Past a diverged step the values may overflow; the norm test below
+        # stops there, so those rows are never used.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = np.eye(k) + rate * np.tril(gram, -1)
+            u = np.linalg.solve(lower[::-1, ::-1], (y.conj().T @ psi.psi)[::-1])[::-1]
+            growth = (rate**2 * gram.diagonal().real - 2.0 * rate) * np.sum(np.abs(u) ** 2, axis=1)
+            norms2 = a ** (2.0 * np.arange(1, k + 1)) * (
+                np.vdot(psi.psi, psi.psi).real + np.cumsum(growth)
+            )
+        failed = np.flatnonzero(~(norms2 <= _DIVERGENCE_LIMIT**2))
+        good = failed[0] if failed.size else k
+        omega0 = c.conj().T @ psi.psi
+        omegas = omega0[None] - rate * np.cumsum(
+            (c.conj().T @ y[:, :good]).T[:, :, None] * u[:good, None, :], axis=0
+        )
+        traces = np.trace(omegas, axis1=1, axis2=2)
+        zero = np.abs(a ** np.arange(1.0, good + 1) * traces) < 1e-300
+        steps = eye - omegas / np.where(zero, 1.0, traces)[:, None, None]
+        for j in range(good):
+            if zero[j]:
+                warnings.warn("zero-trace channel step skipped", RuntimeWarning, stacklevel=2)
+            else:
+                g = steps[j] @ h
+                norm = math.sqrt(np.vdot(g, g).real)
+                if 0.0 < norm < math.inf:
+                    h = g / norm
+                else:
+                    warnings.warn("degenerate channel step skipped", RuntimeWarning, stacklevel=2)
+            out[:, lo + j] = h
+        if good < k:
+            out[:, lo + good :] = h[:, None]
+            return out, True
+        psi.psi = a**k * (psi.psi - rate * (y @ u))
+    return out, False

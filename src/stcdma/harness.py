@@ -9,9 +9,12 @@ that consumes them; blind estimates are phase-aligned to the true channel
 before use, the usual pilot-equivalent resolution of the blind phase
 ambiguity, consistent with the phase-aligned error metric.  The svd estimate
 refreshes once per block on both antenna counts, each refresh window folded
-into the covariance in one product; the sg tracker steps once per
+into the covariance in one product.  The sg tracker steps once per
 observation column, so its rates are per symbol with one transmit antenna
-and per block with two.  One loop adapts
+and per block with two; `sg_track` computes those steps 64 observations at a
+time, the psi recursion from one triangular solve and every C^H psi from one
+cumulative sum, while its divergence check and the skip rules of its channel
+step still act per observation.  One loop adapts
 every receiver on both antenna counts: a receiver is a list of constrained
 branches, two per block with two transmit antennas and one per symbol with
 one, and each observation column is one step of every branch.  The loop
@@ -34,13 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel_estimation import (
-    ChannelEstimate,
     CovarianceEstimate,
     PsiEstimate,
     align_phase,
     estimate_channel_exact,
-    sg_channel_step,
-    sg_psi_step,
+    sg_track,
 )
 from .errors import StepSizeError
 from .receivers import (
@@ -159,7 +160,7 @@ class MetricsSeries:
     axis: str
     rows: list
     seed_hash: str
-    diverged_trials: int = 0
+    diverged_trials: int = 0  # trials in which any algorithm or channel diverged
 
 
 def _interferer_amplitudes(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
@@ -246,24 +247,14 @@ def _track_sg(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
     """Stochastic-gradient channel tracker of one receive antenna, one step
     per observation column (per symbol with one transmit antenna, per block
     with two); returns the phase-aligned (dim, blocks) trace of each block's
-    last estimate and whether it diverged.  A failing step freezes the last
-    good estimate for the rest of the packet."""
+    last estimate and whether it diverged.  `sg_track` runs the steps a chunk
+    of observations at a time; a failing step freezes the last good estimate
+    for the rest of the packet."""
     per_block = y.shape[1] // scn.blocks
     dim = c.shape[1]
     psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
-    estimate = ChannelEstimate(vector=np.ones(dim, dtype=complex) / np.sqrt(dim), method="sg")
-    trace = np.empty((dim, scn.blocks), dtype=complex)
-    diverged = False
-    for t in range(y.shape[1]):
-        try:
-            psi = sg_psi_step(psi, y[:, t])
-            estimate = sg_channel_step(estimate, psi, c)
-        except ArithmeticError:  # ConditioningError, StepSizeError
-            diverged = True
-            trace[:, t // per_block :] = estimate.vector[:, None]
-            break
-        trace[:, t // per_block] = estimate.vector
-    return align_phase(trace, true), diverged
+    estimates, diverged = sg_track(psi, c, y, np.ones(dim, dtype=complex) / np.sqrt(dim))
+    return align_phase(estimates[:, per_block - 1 :: per_block], true), diverged
 
 
 def _bit_errors(decided: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -498,8 +489,7 @@ def sweep(
     rows = []
     diverged_total = 0
     for p, trials in by_point.items():
-        for tr in trials:
-            diverged_total += sum(bool(v) for v in tr.diverged.values())
+        diverged_total += sum(any(tr.diverged.values()) for tr in trials)
         algs = sorted(trials[0].bit_errors)
         chans = sorted(trials[0].channel_mse)
         if axis == "symbols":

@@ -5,17 +5,14 @@ import pytest
 
 from stcdma import channel_estimation
 from stcdma.channel_estimation import (
-    ChannelEstimate,
     CovarianceEstimate,
     PsiEstimate,
     align_phase,
     canonical_phase,
     estimate_channel_exact,
     scaled_inverse_power,
-    sg_channel_step,
-    sg_psi_step,
+    sg_track,
 )
-from stcdma.errors import StepSizeError
 from stcdma.harness import channel_mse
 from stcdma.oracles import min_eigenvector, noise_subspace_projector
 from stcdma.signal_model import (
@@ -250,21 +247,24 @@ def test_psi_recursion_tracks_min_eigenvector_direction():
     y = simulate_packet(streams, sp, chs, 0.1, rng)
     psi = PsiEstimate.from_constraints(cm.odd, alpha=0.998, mu=1e-3)
     start = canonical_phase(np.ones(6, dtype=complex) / np.sqrt(6))
-    est = ChannelEstimate(vector=start, method="subspace-sg")
-    for i in range(3000):
-        sg_psi_step(psi, y[:, i])
-        est = sg_channel_step(est, psi, cm.odd)
-    assert _mse(est.vector, h) < 0.05
+    estimates, diverged = sg_track(psi, cm.odd, y[:, :3000], start)
+    assert not diverged
+    assert _mse(estimates[:, -1], h) < 0.05
 
 
 def test_psi_recursion_raises_on_oversized_step():
+    """An oversized step makes the recursion diverge, which the tracker
+    reports as a flag rather than an exception."""
     rng = np.random.default_rng(8)
     cm_like = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
     psi = PsiEstimate.from_constraints(cm_like, alpha=1.0, mu=5.0)
-    with pytest.raises(StepSizeError):
-        for _ in range(200):
-            y = 3.0 * (rng.standard_normal(12) + 1j * rng.standard_normal(12))
-            sg_psi_step(psi, y)
+    ys = np.stack(
+        [3.0 * (rng.standard_normal(12) + 1j * rng.standard_normal(12)) for _ in range(200)],
+        axis=1,
+    )
+    start = np.ones(4, dtype=complex) / 2.0
+    _, diverged = sg_track(psi, cm_like, ys, start)
+    assert diverged
 
 
 def test_fixed_omega_iteration_matches_eigh():
@@ -275,16 +275,43 @@ def test_fixed_omega_iteration_matches_eigh():
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     omega = b @ b.conj().T + 0.1 * np.eye(dim)
     psi_like = PsiEstimate(psi=np.linalg.solve(np.eye(dim), omega), alpha=1.0, mu=0.0)
-    # feed the step an identity constraint so C^H psi == omega
-    est = ChannelEstimate(
-        vector=canonical_phase(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)),
-        method="subspace-sg",
-    )
-    est = ChannelEstimate(vector=est.vector / np.linalg.norm(est.vector), method=est.method)
-    for _ in range(4000):
-        est = sg_channel_step(est, psi_like, np.eye(dim, dtype=complex))
+    # feed the tracker an identity constraint so C^H psi == omega
+    start = canonical_phase(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    start = start / np.linalg.norm(start)
+    ys = np.zeros((dim, 4000), dtype=complex)
+    estimates, _ = sg_track(psi_like, np.eye(dim, dtype=complex), ys, start)
     oracle = min_eigenvector(omega)
-    assert _mse(est.vector, oracle) < 1e-4
+    assert _mse(estimates[:, -1], oracle) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "psi,start,message",
+    [
+        (np.diag([1.0, -1.0]), np.array([0.6, 0.8]), "zero-trace channel step skipped"),
+        (np.diag([1.0, 0.0]), np.array([1.0, 0.0]), "degenerate channel step skipped"),
+    ],
+    ids=["zero-trace", "degenerate"],
+)
+def test_skipped_channel_steps_warn_and_keep_the_estimate(psi, start, message):
+    """A zero-trace Omega, or an iterate that the step sends to zero, skips
+    that step with a warning; the estimate holds."""
+    psi_like = PsiEstimate(psi=psi.astype(complex), alpha=1.0, mu=0.0)
+    start = start.astype(complex)
+    with pytest.warns(RuntimeWarning, match=message):
+        estimates, diverged = sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 3)), start)
+    assert not diverged
+    assert np.array_equal(estimates, np.repeat(start[:, None], 3, axis=1))
+
+
+def test_zero_trace_rule_sees_the_decayed_psi():
+    """The skip rule tests the trace of C^H psi itself, not of a rescaled
+    Omega: psi halves each step, so its trace 2e-290 * 0.5^(j+1) drops below
+    1e-300 from step 34 on, the last 6 of 40 steps."""
+    psi_like = PsiEstimate(psi=1e-290 * np.eye(2, dtype=complex), alpha=0.5, mu=0.0)
+    start = np.array([0.6, 0.8], dtype=complex)
+    with pytest.warns(RuntimeWarning, match="zero-trace channel step skipped") as record:
+        sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 40)), start)
+    assert len(record) == 6
 
 
 def test_exact_estimator_close_under_chip_spill():

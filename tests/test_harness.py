@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from stcdma import harness
-from stcdma.channel_estimation import CovarianceEstimate, align_phase
+from stcdma import channel_estimation, harness
+from stcdma.channel_estimation import CovarianceEstimate, PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
 from stcdma.harness import (
     channel_mse,
@@ -422,6 +422,84 @@ def test_failing_svd_refresh_freezes_the_last_estimate(monkeypatch, tx, failing)
     assert all(errs.shape == (scn.packet_symbols,) for errs in tr.bit_errors.values())
 
 
+def _reference_sg_estimates(c, y, alpha, mu):
+    """The sg tracker one observation at a time: the psi recursion, its norm
+    check, then one channel step on C^H psi.  Returns every observation's
+    estimate and the index of the step that diverged, or None."""
+    dim = c.shape[1]
+    psi = c.astype(complex)
+    h = np.ones(dim, dtype=complex) / np.sqrt(dim)
+    estimates = np.empty((dim, y.shape[1]), dtype=complex)
+    for t in range(y.shape[1]):
+        yt = y[:, t]
+        psi = alpha * psi + mu * (psi - np.outer(yt, yt.conj() @ psi))
+        norm = np.linalg.norm(psi)
+        if not np.isfinite(norm) or norm > 1e6:
+            estimates[:, t:] = h[:, None]
+            return estimates, t
+        omega = c.conj().T @ psi
+        trace = np.trace(omega)
+        if abs(trace) >= 1e-300:
+            g = h - (omega @ h) / trace
+            g_norm = np.linalg.norm(g)
+            if np.isfinite(g_norm) and g_norm != 0.0:
+                h = g / g_norm
+        estimates[:, t] = h
+    return estimates, None
+
+
+def _sg_case(tx, forgetting, step, seed):
+    scn = _tiny_scenario(
+        tx_antennas=tx, channel_estimator="sg", psi_forgetting=forgetting, step_channel=step,
+        packet_symbols=300,
+    )
+    c, y, true = _synthetic_packet(3 - tx, scn.blocks, seed=seed)
+    start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
+    psi = PsiEstimate.from_constraints(c, alpha=forgetting, mu=step)
+    estimates, diverged = sg_track(psi, c, y, start)
+    reference, failed = _reference_sg_estimates(c, y, forgetting, step)
+    return scn, c, y, true, estimates, diverged, reference, failed
+
+
+@pytest.mark.parametrize("step", [1e-3, 2e-2])
+@pytest.mark.parametrize("forgetting", [0.95, 0.998, 1.0])
+@pytest.mark.parametrize("tx", [1, 2])
+def test_chunked_sg_tracker_matches_per_observation_reference(tx, forgetting, step):
+    scn, c, y, true, estimates, diverged, reference, failed = _sg_case(tx, forgetting, step, seed=11)
+    assert y.shape[1] % channel_estimation._SG_CHUNK != 0
+    assert y.shape[1] > 2 * channel_estimation._SG_CHUNK
+    assert failed is None and not diverged
+    assert np.max(np.abs(estimates - reference)) < 1e-12
+    # The harness keeps each block's last estimate, phase-aligned.
+    trace, tracked_diverged = harness._track_sg(scn, c, y, true)
+    per_block = y.shape[1] // scn.blocks
+    expected = align_phase(reference[:, per_block - 1 :: per_block], true)
+    assert not tracked_diverged
+    assert np.max(np.abs(trace - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tx,forgetting,step,seed,failing",
+    [
+        (1, 0.998, 0.08, 3, 17),
+        (1, 0.998, 0.05, 998, 258),
+        (2, 0.95, 0.06, 998, 88),
+        (2, 0.998, 0.05, 950, 65),
+    ],
+)
+def test_diverging_sg_tracker_holds_the_reference_estimate(tx, forgetting, step, seed, failing):
+    """An oversized step fails at the reference's observation, in the first
+    chunk or a later one, and that column and every later one hold the last
+    good estimate."""
+    _, _, y, _, estimates, diverged, reference, failed = _sg_case(tx, forgetting, step, seed)
+    assert failed == failing
+    assert diverged
+    assert np.max(np.abs(estimates - reference)) < 1e-12
+    held = estimates[:, failing - 1]
+    assert np.array_equal(estimates[:, failing:], np.repeat(held[:, None], y.shape[1] - failing, axis=1))
+    assert not np.allclose(held, estimates[:, failing - 2], rtol=0, atol=1e-12)
+
+
 def test_smooth_series_matches_loop():
     rng = np.random.default_rng(0)
     x = rng.random(50)
@@ -526,6 +604,17 @@ def test_sweep_rejects_bad_arguments():
 
 def test_sweep_counts_diverged_trials():
     scn = _tiny_scenario(step_ccm=50.0, snr_db=5.0)
+    series = sweep(scn, "snr", [5.0], runs=2)
+    assert series.diverged_trials == 2
+
+
+def test_sweep_counts_a_trial_with_two_diverged_series_once():
+    scn = _tiny_scenario(
+        channel_estimator="sg", step_channel=30.0, step_ccm=50.0, snr_db=5.0
+    )
+    for r in range(2):
+        tr = run_trial(scn, trial_seed(scn.master_seed, 0, r))
+        assert tr.diverged == {"channel-sg": True, "ccm-sg": True}
     series = sweep(scn, "snr", [5.0], runs=2)
     assert series.diverged_trials == 2
 
