@@ -12,7 +12,6 @@ from .errors import (
     ConditioningError,
     ScenarioError,
     SingularConstraintError,
-    StepSizeError,
 )
 from .harness import MetricRow, MetricsSeries, run_trial, sweep, trial_seed
 from .scenario import (
@@ -35,7 +34,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SingularConstraintError",
-    "StepSizeError",
     "parse_scenario",
     "parse_scenario_file",
     "run_trial",

@@ -32,7 +32,6 @@ from .errors import ConditioningError
 
 __all__ = [
     "CovarianceEstimate",
-    "ChannelEstimate",
     "estimate_channel_exact",
     "scaled_inverse_power",
     "PsiEstimate",
@@ -88,14 +87,6 @@ class CovarianceEstimate:
         return self.s / self.weight
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Unit-norm stacked channel estimate with canonical phase."""
-
-    vector: np.ndarray
-    method: str
-
-
 def canonical_phase(v: np.ndarray) -> np.ndarray:
     """Rotate so the largest-magnitude entry is positive real."""
     v = np.asarray(v, dtype=complex)
@@ -143,7 +134,7 @@ def estimate_channel_exact(
     c: np.ndarray,
     power: int = 1,
     ridge: float = 1e-6,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """Minimum eigenvector of C^H R^-power C, unit norm, canonical phase.
 
     R is regularized with `ridge` on the diagonal and its spectrum is floored
@@ -175,7 +166,7 @@ def estimate_channel_exact(
     qvals, qvecs = np.linalg.eigh(quad)
     vec = qvecs[:, int(np.argmin(qvals))]
     vec = vec / np.linalg.norm(vec)
-    return ChannelEstimate(vector=canonical_phase(vec), method=f"subspace-p{power}")
+    return canonical_phase(vec)
 
 
 def scaled_inverse_power(r: np.ndarray, noise_var: float, power: int) -> np.ndarray:

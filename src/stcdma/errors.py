@@ -21,7 +21,3 @@ class SingularConstraintError(ValueError):
 
 class ConditioningError(ArithmeticError):
     """A linear solve hit a numerically singular or non-finite matrix."""
-
-
-class StepSizeError(ArithmeticError):
-    """An adaptive recursion diverged; the step size is too large."""

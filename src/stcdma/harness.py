@@ -43,7 +43,6 @@ from .channel_estimation import (
     estimate_channel_exact,
     sg_track,
 )
-from .errors import StepSizeError
 from .receivers import (
     CcmStatistics,
     CombinerGains,
@@ -233,8 +232,8 @@ def _track_svd(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
         try:
             vector = estimate_channel_exact(
                 cov.matrix, c, power=scn.subspace_power, ridge=scn.ridge
-            ).vector
-        except ArithmeticError:  # ConditioningError, StepSizeError
+            )
+        except ArithmeticError:  # ConditioningError
             diverged = True
             vectors[:, i:] = vector[:, None]
             break
@@ -364,7 +363,7 @@ def _adapt(alg, scn, ys, ests, truth, cs):
                         w = _exact_filters(moments, cs, ests[m][:, block], scn)
                 if not all(map(_bounded, w)):
                     raise ArithmeticError("filter norm out of bounds")
-            except (StepSizeError, np.linalg.LinAlgError, ArithmeticError):
+            except (np.linalg.LinAlgError, ArithmeticError):
                 diverged = True
             else:
                 ws[m] = w

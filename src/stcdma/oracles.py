@@ -27,45 +27,55 @@ def reference_received_blocks(
     spreading: SpreadingSet,
     channel: SpaceTimeChannel,
 ) -> np.ndarray:
-    """Noise-free received blocks computed chip by chip.
+    """Noise-free received observations computed chip by chip.
 
-    Walks every (user, antenna, slot, chip, path) combination explicitly:
-    antenna one sends b1 then -conj(b2) over each block, antenna two sends b2
-    then conj(b1), each chip propagates through the channel taps of the block
-    it was transmitted in, and the receiver stacks the M-chip window of the
-    first slot over the conjugated window of the second.
+    Walks every (user, slot, antenna, chip, path) combination explicitly.
+    With two transmit antennas, antenna one sends b1 then -conj(b2) over each
+    block, antenna two sends b2 then conj(b1), all at the amplitude of the
+    block's first symbol; with one, the antenna sends each symbol at its own
+    amplitude in its own slot.  Each chip propagates through the channel taps
+    of the block it was transmitted in.  The receiver cuts the M-chip window
+    that starts with each slot's first chip.  With two antennas it stacks the
+    first slot's window over the conjugated window of the second, one column
+    per block, shape (2M, blocks); with one it returns the windows as they
+    are, one column per symbol, shape (M, symbols).
     """
     n = spreading.gain
     lp = channel.n_paths
     m = n + lp - 1
     nsym = len(streams[0])
     nblocks = nsym // 2
-    total = nsym * n + lp - 1
-    received = np.zeros(total, dtype=complex)
+    two_antennas = spreading.tx_antennas == 2
+    received = np.zeros(nsym * n + lp - 1, dtype=complex)
     for k, stream in enumerate(streams):
         amps = stream.amplitude_per_symbol()
-        for block in range(nblocks):
-            b1 = stream.symbols[2 * block]
-            b2 = stream.symbols[2 * block + 1]
-            amp = amps[2 * block]
-            for slot_in_block, per_antenna in enumerate(
-                [(b1, b2), (-np.conj(b2), np.conj(b1))]
-            ):
-                slot = 2 * block + slot_in_block
-                for ant in range(spreading.tx_antennas):
-                    coeff = amp * per_antenna[ant]
-                    code = spreading.code(k, ant)
-                    for chip in range(n):
-                        sent = coeff * code[chip]
-                        for path in range(lp):
-                            tap = channel.taps[ant, path, block]
-                            received[slot * n + chip + path] += sent * tap
+        for slot in range(nsym):
+            block = slot // 2
+            if two_antennas:
+                b1 = stream.symbols[2 * block]
+                b2 = stream.symbols[2 * block + 1]
+                if slot % 2 == 0:
+                    per_antenna = (b1, b2)
+                else:
+                    per_antenna = (-np.conj(b2), np.conj(b1))
+                amp = amps[2 * block]
+            else:
+                per_antenna = (stream.symbols[slot],)
+                amp = amps[slot]
+            for ant, sent_symbol in enumerate(per_antenna):
+                code = spreading.code(k, ant)
+                for chip in range(n):
+                    sent = amp * sent_symbol * code[chip]
+                    for path in range(lp):
+                        tap = channel.taps[ant, path, block]
+                        received[slot * n + chip + path] += sent * tap
+    windows = [received[slot * n : slot * n + m] for slot in range(nsym)]
+    if not two_antennas:
+        return np.array(windows).T
     blocks = np.empty((2 * m, nblocks), dtype=complex)
     for block in range(nblocks):
-        first = received[2 * block * n : 2 * block * n + m]
-        second = received[(2 * block + 1) * n : (2 * block + 1) * n + m]
-        blocks[:m, block] = first
-        blocks[m:, block] = np.conj(second)
+        blocks[:m, block] = windows[2 * block]
+        blocks[m:, block] = np.conj(windows[2 * block + 1])
     return blocks
 
 

@@ -20,9 +20,14 @@ in, so the structured term above is exact and only eta carries neighbouring
 blocks' channels.
 
 `simulate_packet` is the one way to generate observations: a whole packet
-for one receive antenna, either from the structured term alone (eta = 0) or,
-with ``include_isi``, at chip rate with the spill.  With one transmit antenna
-each symbol is its own M-chip observation, y = A b conv H + eta + n.
+for one receive antenna, in one path.  It spreads (every user's chips
+superposed per antenna, one product), convolves (each slot's own chips with
+its block's taps into an M-chip window, which is the structured term above,
+eta = 0) and, only with ``include_isi``, adds eta: the chips that the
+neighbouring slots spill onto the Lp - 1 edge chips of each window.  The
+noise n is drawn in the observations' shape, or with ``include_isi`` at chip
+rate and windowed like the signal.  With one transmit antenna each symbol is
+its own M-chip observation, y = A b conv H + eta + n.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fading import clarke_fading_sequence
-from .spreading import SpreadingSet, build_convolution_matrix, user_constraint_matrices
+from .spreading import SpreadingSet
 
 __all__ = [
     "SymbolStream",
@@ -45,6 +51,7 @@ __all__ = [
 ]
 
 QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+_SLOTS_PER_RUN = 512  # chip temporaries of 512 KB at gain 64
 
 
 def random_qpsk(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,74 +178,75 @@ def random_multipath_channel(
     return SpaceTimeChannel(taps=taps)
 
 
-def _noise(shape, noise_var: float, rng: np.random.Generator | None) -> np.ndarray:
-    if noise_var == 0.0 or rng is None:
-        return np.zeros(shape, dtype=complex)
+def _add_noise(y: np.ndarray, noise_var: float, rng: np.random.Generator) -> None:
+    """Add sqrt(noise_var / 2) (x + j x') to `y` in place, where x and then
+    x' are standard normal draws in `y`'s shape."""
     scale = np.sqrt(noise_var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    draw = np.empty(y.shape)
+    for part in (y.real, y.imag):
+        rng.standard_normal(out=draw)
+        draw *= scale
+        part += draw
 
 
-def _slot_coefficients(streams: list[SymbolStream]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot transmit coefficients (amplitude folded in) for both antennas.
+def _slot_coefficients(streams: list[SymbolStream], tx_antennas: int) -> np.ndarray:
+    """Per-slot transmit coefficients, amplitude folded in, shape
+    (tx_antennas, users, slots).
 
-    Returns (d1, d2), each (users, slots): antenna one sends b1 then
-    -conj(b2) over a block, antenna two sends b2 then conj(b1).
+    One antenna sends each symbol in its own slot.  Two antennas send
+    (b1, b2) in a block's first slot and (-conj(b2), conj(b1)) in its second.
     """
     symbols = np.stack([s.symbols for s in streams])
     amps = np.stack([s.amplitude_per_symbol() for s in streams])
-    b1 = symbols[:, 0::2]
-    b2 = symbols[:, 1::2]
-    (s1a, s2a), (s1b, s2b) = alamouti_encode(b1, b2)
-    d1 = np.empty_like(symbols)
-    d2 = np.empty_like(symbols)
-    d1[:, 0::2] = s1a
-    d1[:, 1::2] = s1b
-    d2[:, 0::2] = s2a
-    d2[:, 1::2] = s2b
+    if tx_antennas == 1:
+        return (symbols * amps)[None]
+    first, second = alamouti_encode(symbols[:, 0::2], symbols[:, 1::2])
+    coef = np.empty((2,) + symbols.shape, dtype=complex)
+    coef[:, :, 0::2] = first
+    coef[:, :, 1::2] = second
     # Amplitude is constant over a block (entries happen at block boundaries).
-    block_amp = amps[:, 0::2]
-    d1 *= np.repeat(block_amp, 2, axis=1)
-    d2 *= np.repeat(block_amp, 2, axis=1)
-    return d1, d2
+    coef *= np.repeat(amps[:, 0::2], 2, axis=1)
+    return coef
 
 
-def _chip_stream(
-    streams: list[SymbolStream], spreading: SpreadingSet
+def _slot_windows(
+    streams: list[SymbolStream], spreading: SpreadingSet, taps: np.ndarray
 ) -> np.ndarray:
-    """Superposed transmit chips, shape (tx_antennas, slots * gain)."""
-    n_tx = spreading.tx_antennas
-    if n_tx == 2:
-        d1, d2 = _slot_coefficients(streams)
-        per_antenna = [d1, d2]
-    else:
-        symbols = np.stack([s.symbols for s in streams])
-        amps = np.stack([s.amplitude_per_symbol() for s in streams])
-        per_antenna = [symbols * amps]
-    chips = np.empty((n_tx, len(streams[0]) * spreading.gain), dtype=complex)
-    for ant in range(n_tx):
-        # (slots, users) @ (users, gain) -> chips laid out slot by slot
-        chips[ant] = (per_antenna[ant].T @ spreading.codes[:, ant, :]).ravel()
-    return chips
+    """Each slot's own chips convolved with its block's taps.
+
+    Per antenna, one (gain, users) @ (users, slots) product superposes every
+    user's chips; each lag then adds those chips, scaled by the slot's taps,
+    into the (M, slots) windows, M = gain + n_paths - 1.  A lag whose taps
+    are all zero adds nothing.  Slots are taken _SLOTS_PER_RUN at a time, so
+    the chip temporaries stay small next to the windows.
+    """
+    coef = _slot_coefficients(streams, spreading.tx_antennas)
+    codes = spreading.codes.transpose(1, 2, 0)  # (tx_antennas, gain, users)
+    gain, slots = spreading.gain, coef.shape[2]
+    lp = taps.shape[1]
+    live = taps.any(axis=2)
+    per_slot_taps = np.repeat(taps, 2, axis=2)  # a block's taps serve both its slots
+    windows = np.zeros((gain + lp - 1, slots), dtype=complex)
+    for start in range(0, slots, _SLOTS_PER_RUN):
+        run = slice(start, start + _SLOTS_PER_RUN)
+        for ant in range(spreading.tx_antennas):
+            chips = codes[ant] @ coef[ant, :, run]
+            for lag in range(lp):
+                if live[ant, lag]:
+                    windows[lag : lag + gain, run] += chips * per_slot_taps[ant, lag, run]
+    return windows
 
 
-def _received_chips(
-    chips: np.ndarray, channel: SpaceTimeChannel, gain: int
-) -> np.ndarray:
-    """Chip-rate convolution with per-block taps (transmit-time convention)."""
-    n_tx, total = chips.shape
-    lp = channel.n_paths
-    chips_per_block = 2 * gain  # the channel is constant over two slots
-    out = np.zeros(total + lp - 1, dtype=complex)
-    for ant in range(n_tx):
-        for lag in range(lp):
-            taps = np.repeat(channel.taps[ant, lag, :], chips_per_block)[:total]
-            out[lag : lag + total] += taps * chips[ant]
-    return out
-
-
-def _window_matrix(received: np.ndarray, slots: int, gain: int, window: int) -> np.ndarray:
-    idx = np.arange(slots)[:, None] * gain + np.arange(window)[None, :]
-    return received[idx]
+def _add_spill(windows: np.ndarray, gain: int) -> None:
+    """Add to each (M, slots) window the chips its neighbours spill into it:
+    the previous slots' tails onto its head, the next slots' heads onto its
+    tail."""
+    m = windows.shape[0]
+    own = windows.copy()
+    for shift in range(gain, m, gain):
+        d = shift // gain
+        windows[: m - shift, d:] += own[shift:, :-d]
+        windows[shift:, :-d] += own[: m - shift, d:]
 
 
 def simulate_packet(
@@ -251,11 +259,15 @@ def simulate_packet(
 ) -> np.ndarray:
     """All observations of one receive antenna for a whole packet.
 
-    All users share `channel` (downlink).  For two transmit antennas the
-    result has shape (2M, blocks) with even slots conjugated into the stack;
-    for one it has shape (M, symbols).  With ``include_isi`` the packet is
-    generated at chip rate, so windows share edge chips and noise samples the
-    way a receiver actually sees them.
+    All users share `channel` (downlink).  The users' chips are superposed
+    once per antenna, and each slot's own chips are convolved with its
+    block's taps into an M-chip window.  With ``include_isi`` every window
+    also receives its neighbours' spill and a window of one chip-rate noise
+    sequence of length slots * gain + n_paths - 1, so windows share edge
+    chips and noise samples the way a receiver sees them; without it the
+    noise is drawn directly in the result's shape.  For two transmit
+    antennas the result has shape (2M, blocks), each block's second window
+    conjugated under its first; for one it has shape (M, symbols).
     """
     nsym = len(streams[0])
     if any(len(s) != nsym for s in streams):
@@ -265,33 +277,20 @@ def simulate_packet(
     n = spreading.gain
     lp = channel.n_paths
     m = n + lp - 1
-    nblocks = nsym // 2
-    n_tx = spreading.tx_antennas
+    noisy = noise_var != 0.0 and rng is not None
+    windows = _slot_windows(streams, spreading, channel.taps)
     if include_isi:
-        chips = _chip_stream(streams, spreading)
-        received = _received_chips(chips, channel, n)
-        received += _noise(received.shape, noise_var, rng)
-        windows = _window_matrix(received, nsym, n, m)
-        if n_tx == 2:
-            return np.hstack([windows[0::2], np.conj(windows[1::2])]).T
-        return windows.T
-    stacked = channel.stacked  # (2Lp or Lp, blocks)
-    if n_tx == 2:
-        y = np.zeros((2 * m, nblocks), dtype=complex)
-        for user, stream in enumerate(streams):
-            cm = user_constraint_matrices(spreading, user, lp)
-            amp = stream.amplitude_per_symbol()[0::2]
-            b1 = stream.symbols[0::2] * amp
-            b2 = stream.symbols[1::2] * amp
-            y += (cm.odd @ stacked) * b1[None, :]
-            y += (cm.even @ np.conj(stacked)) * b2[None, :]
-        y += _noise(y.shape, noise_var, rng)
-        return y
-    y = np.zeros((m, nsym), dtype=complex)
-    for user, stream in enumerate(streams):
-        conv = build_convolution_matrix(spreading.code(user, 0), lp)
-        sig = conv @ stacked  # (M, blocks)
-        coeff = stream.symbols * stream.amplitude_per_symbol()
-        y += np.repeat(sig, 2, axis=1) * coeff[None, :]
-    y += _noise(y.shape, noise_var, rng)
+        _add_spill(windows, n)
+        if noisy:
+            chip_noise = np.zeros(nsym * n + lp - 1, dtype=complex)
+            _add_noise(chip_noise, noise_var, rng)
+            windows += sliding_window_view(chip_noise, m)[::n].T
+    if spreading.tx_antennas == 2:
+        y = np.empty((2 * m, nsym // 2), dtype=complex)
+        y[:m] = windows[:, 0::2]
+        np.conjugate(windows[:, 1::2], out=y[m:])
+    else:
+        y = windows
+    if noisy and not include_isi:
+        _add_noise(y, noise_var, rng)
     return y

@@ -183,13 +183,13 @@ def test_criterion_05_blind_channel_recovery():
     for seed in range(20):
         r0, cm, h = _recovery_instance(seed, 0.0)
         est = estimate_channel_exact(r0, cm.odd, power=1)
-        worst_clean = max(worst_clean, _mse(est.vector, h))
+        worst_clean = max(worst_clean, _mse(est, h))
         r15, cm, h = _recovery_instance(seed, sigma2_15db)
         mse_p1.append(
-            _mse(estimate_channel_exact(r15, cm.odd, power=1).vector, h)
+            _mse(estimate_channel_exact(r15, cm.odd, power=1), h)
         )
         mse_p2.append(
-            _mse(estimate_channel_exact(r15, cm.odd, power=2).vector, h)
+            _mse(estimate_channel_exact(r15, cm.odd, power=2), h)
         )
     avg1, avg2 = float(np.mean(mse_p1)), float(np.mean(mse_p2))
     ok = worst_clean < 1e-6 and avg2 <= avg1

@@ -20,7 +20,6 @@ TOP_LEVEL = {
     "ConditioningError",
     "ScenarioError",
     "SingularConstraintError",
-    "StepSizeError",
     "ALGORITHMS",
     "ESTIMATORS",
 }

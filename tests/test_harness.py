@@ -396,7 +396,7 @@ def test_failing_svd_refresh_freezes_the_last_estimate(monkeypatch, tx, failing)
         if len(returned) == failing:
             raise ConditioningError("refresh failed")
         est = real_estimate(*args, **kwargs)
-        returned.append(est.vector)
+        returned.append(est)
         return est
 
     def recording_track(scn, c, y, true):

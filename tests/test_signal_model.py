@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stcdma import signal_model
 from stcdma.oracles import reference_received_blocks
 from stcdma.signal_model import (
     QPSK_POINTS,
@@ -141,21 +142,67 @@ def test_packet_matches_chip_oracle_with_spillover(seed):
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=5000))
+def test_single_antenna_packet_matches_chip_oracle_with_spillover(seed):
+    """Per-symbol amplitudes, and any gain and path count: with gain 2 and up
+    to six dense taps a slot's chips reach two windows ahead."""
+    rng = np.random.default_rng(seed)
+    gain = (2, 8)[seed % 2]
+    lp = 1 + (seed // 2) % 6
+    sp = random_spreading_set(3, gain, "zero-padded", 1, seed=seed % 23)
+    ch = random_multipath_channel(1, lp, 3, 0.0, rng, fading="off")
+    ch.taps[:] = rng.standard_normal(ch.taps.shape) + 1j * rng.standard_normal(ch.taps.shape)
+    entry = np.r_[np.zeros(2), np.full(4, 0.8)]
+    streams = _random_streams(3, 6, rng, amplitudes=[1.0, 1.4 * np.arange(1, 7) / 6, entry])
+    fast = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=True)
+    slow = reference_received_blocks(streams, sp, ch)
+    assert fast.shape == slow.shape == (gain + lp - 1, 6)
+    assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+def test_two_antenna_spill_reaches_past_the_next_slot():
+    rng = np.random.default_rng(15)
+    lp = 5
+    sp = random_spreading_set(2, 2, "sign-flipped", 2, seed=3)
+    ch = random_multipath_channel(2, lp, 4, 0.0, rng, fading="off")
+    ch.taps[:] = rng.standard_normal(ch.taps.shape) + 1j * rng.standard_normal(ch.taps.shape)
+    streams = _random_streams(2, 8, rng, amplitudes=[1.0, 0.7])
+    fast = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=True)
+    slow = reference_received_blocks(streams, sp, ch)
+    assert fast.shape == slow.shape == (2 * (2 + lp - 1), 4)
+    assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+@pytest.mark.parametrize("tx", [1, 2])
+def test_packet_longer_than_a_run_matches_chip_oracle(tx):
+    """Slots are convolved a run at a time; this packet spans three runs."""
+    rng = np.random.default_rng(17)
+    nsym = 2 * signal_model._SLOTS_PER_RUN + 6
+    sp = random_spreading_set(2, 4, "sign-flipped", tx, seed=6)
+    ch = random_multipath_channel(tx, 3, nsym // 2, 0.01, rng, fading="clarke")
+    streams = _random_streams(2, nsym, rng, amplitudes=[1.0, 0.6])
+    fast = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=True)
+    slow = reference_received_blocks(streams, sp, ch)
+    assert np.max(np.abs(fast - slow)) < 1e-12
+
+
 def test_chip_spill_confined_to_window_edges():
     """The idealized model drops only the inter-slot chip spill, which can
     land solely on the Lp-1 edge chips of each window."""
-    rng = np.random.default_rng(8)
     lp = 3
-    sp = random_spreading_set(2, 8, "zero-padded", 2, seed=5)
-    ch = random_multipath_channel(2, lp, 3, 0.0, rng, fading="clarke")
-    streams = _random_streams(2, 6, rng)
-    ideal = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=False)
-    oracle = reference_received_blocks(streams, sp, ch)
-    spill = oracle - ideal
     m = 8 + lp - 1
-    core = np.r_[np.arange(lp - 1, m - (lp - 1)), np.arange(m + lp - 1, 2 * m - (lp - 1))]
-    assert np.max(np.abs(spill[core, :])) < 1e-12
-    assert np.max(np.abs(spill)) > 0.1  # the dropped spill is real
+    edge_free = np.arange(lp - 1, m - (lp - 1))
+    for tx, core in ((2, np.r_[edge_free, m + edge_free]), (1, edge_free)):
+        rng = np.random.default_rng(8)
+        sp = random_spreading_set(2, 8, "zero-padded", tx, seed=5)
+        ch = random_multipath_channel(tx, lp, 3, 0.0, rng, fading="clarke")
+        streams = _random_streams(2, 6, rng)
+        ideal = simulate_packet(streams, sp, ch, 0.0, rng, include_isi=False)
+        oracle = reference_received_blocks(streams, sp, ch)
+        spill = oracle - ideal
+        assert np.max(np.abs(spill[core, :])) < 1e-12, tx
+        assert np.max(np.abs(spill)) > 0.1, tx  # the dropped spill is real
 
 
 def test_single_tap_channel_has_no_spill():
@@ -181,6 +228,34 @@ def test_noise_calibration():
     assert abs(per_component - sigma2) < 0.01
     # circularity: real and imaginary parts carry half the power each
     assert abs(np.mean(noise.real**2) - sigma2 / 2) < 0.01
+
+
+@pytest.mark.parametrize("tx, isi", _PACKET_MODES)
+def test_noise_draw_layout(tx, isi):
+    """The noise is sqrt(sigma2 / 2) (x + j x'), the real parts drawn first.
+    Without spill both are C-order (rows, observations) arrays; with it they
+    are one chip-rate sequence of slots * gain + Lp - 1 samples, windowed
+    like the signal."""
+    gain, lp, nsym, sigma2, seed = 8, 3, 10, 0.3, 21
+    m = gain + lp - 1
+    rng = np.random.default_rng(16)
+    sp = random_spreading_set(2, gain, "zero-padded", tx, seed=4)
+    ch = random_multipath_channel(tx, lp, nsym // 2, 0.001, rng, fading="clarke")
+    streams = _random_streams(2, nsym, rng)
+    clean = simulate_packet(streams, sp, ch, 0.0, None, include_isi=isi)
+    noisy = simulate_packet(streams, sp, ch, sigma2, np.random.default_rng(seed), include_isi=isi)
+    draws = np.random.default_rng(seed)
+    if isi:
+        shape = nsym * gain + lp - 1
+    else:
+        shape = (2 * m, nsym // 2) if tx == 2 else (m, nsym)
+    re = draws.standard_normal(shape)
+    noise = np.sqrt(sigma2 / 2) * (re + 1j * draws.standard_normal(shape))
+    if isi:
+        windows = np.array([noise[s * gain : s * gain + m] for s in range(nsym)]).T
+        noise = windows if tx == 1 else np.vstack([windows[:, 0::2], np.conj(windows[:, 1::2])])
+    assert noisy.shape == noise.shape
+    assert np.max(np.abs(noisy - clean - noise)) < 1e-12
 
 
 def test_window_length_follows_path_count():
