@@ -5,7 +5,7 @@ The top level exports what a study script needs: the scenario and its text
 format, trials and sweeps with their results, the error classes, and the
 algorithm and estimator names.  The building blocks (signal model, spreading
 codes, receivers, channel estimators, oracles) import from their submodules,
-for example ``from stcdma.receivers import ccm_sg_step``.
+for example ``from stcdma.receivers import constrained_quadratic_filter``.
 """
 
 from .errors import (

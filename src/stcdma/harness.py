@@ -14,17 +14,23 @@ observation column, so its rates are per symbol with one transmit antenna
 and per block with two; `sg_track` computes those steps 64 observations at a
 time, the psi recursion from one triangular solve and every C^H psi from one
 cumulative sum, while its divergence check and the skip rules of its channel
-step still act per observation.  One loop adapts
+step still act per observation.  One function adapts
 every receiver on both antenna counts: a receiver is a list of constrained
 branches, two per block with two transmit antennas and one per symbol with
-one, and each observation column is one step of every branch.  The loop
-only adapts and records the branches' filter outputs; combining, detection
-and bit-error scoring then run once per packet on the recording.  Work that
-does not depend on the adapting filter is done ahead of it: the genie
-channel for the whole packet at once, the sg constraint offsets 256 blocks
-at a time.  Not for the whole packet, because memory binds: one
-packet's observations take 3.3 MB at gain 32 and 6000 symbols, so running a
-point's trials in lockstep would hold that many packets at once.
+one, and each observation column is one step of every branch.  The steps
+are evaluated a chunk at a time, with the outputs of one at a time up to
+rounding: the sg receivers and trained LMS 64 observations at a time, from
+one Gram matrix per chunk and branch, and the exact receivers once per
+refresh window.  The filter-norm check still acts per step, from a scalar
+recursion.  Adapting only records the branches' filter outputs; combining,
+detection and bit-error scoring then run once per packet on the recording.
+Work that does not depend on the adapting filter is done ahead of it, for
+the whole packet: the genie channel, and for the sg receivers every
+observation's constraint coordinates, offset term and step size, each a few
+numbers per observation.  The (dim, k) products stay per chunk, because
+memory binds: one packet's observations take 3.3 MB at gain 32 and 6000
+symbols, so running a point's trials in lockstep would hold that many
+packets at once.
 """
 
 from __future__ import annotations
@@ -44,18 +50,15 @@ from .channel_estimation import (
     sg_track,
 )
 from .receivers import (
-    CcmStatistics,
     CombinerGains,
     branch_channels,
-    ccm_sg_step,
-    cmv_sg_step,
     combine,
     constrained_quadratic_filter,
     constraint_offsets,
-    constraint_projector,
     constraint_restorer,
     detect,
-    trained_lms_step,
+    filter_norms2,
+    sg_chunk,
 )
 from .scenario import Scenario
 from .signal_model import (
@@ -85,7 +88,7 @@ __all__ = [
 
 AXES = ("symbols", "snr", "users")
 _FILTER_LIMIT = 1e6
-_CHUNK = 256
+_CHUNK = 64
 
 
 def trial_seed(master_seed: int, point_index: int, run_index: int) -> np.random.SeedSequence:
@@ -284,19 +287,18 @@ def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.
     return _bit_errors(detect(z), truth.reshape(z.shape)).ravel()
 
 
-def _bounded(w: np.ndarray) -> bool:
-    """True while the filter's norm is below the limit; a NaN or inf norm
-    fails the comparison by itself, so no separate finiteness check."""
-    return np.vdot(w, w).real < _FILTER_LIMIT**2
-
-
-def _exact_filters(moments, cs, h, scn):
+def _exact_filters(rs, ds, cs, h, scn):
     """Every branch's closed-form filter from its moments (R_b, d_b), on
-    C_b^H w = nu H_b."""
-    return [
+    C_b^H w = nu H_b; raises ``ArithmeticError`` on a failed solve or a
+    filter norm at or above the limit (a NaN norm fails the comparison by
+    itself)."""
+    ws = np.stack([
         constrained_quadratic_filter(r, d, c, scn.nu * hb, scn.ridge)
-        for (r, d), c, hb in zip(moments, cs, branch_channels(h))
-    ]
+        for r, d, c, hb in zip(rs, ds, cs, branch_channels(h))
+    ])
+    if not np.all(np.sum(ws.real**2 + ws.imag**2, axis=1) < _FILTER_LIMIT**2):
+        raise ArithmeticError("filter norm out of bounds")
+    return ws
 
 
 def _adapt(alg, scn, ys, ests, truth, cs):
@@ -305,69 +307,161 @@ def _adapt(alg, scn, ys, ests, truth, cs):
     ``cs`` holds the branches' constraint matrices, (C, Cbar) with two
     transmit antennas and (conv,) with one.  Every observation column is one
     step for every branch: a block with two transmit antennas, a symbol with
-    one.  Returns the (steps, rx, branches) filter outputs and whether the
-    receiver diverged.
+    one.  Returns the (steps, rx, branches) filter outputs, whether the
+    receiver diverged, and the (rx, branches, dim) filters it ended with.
+
+    A step diverges when a branch's new filter has a non-finite norm or one
+    of at least 1e6; a failed solve at an exact refresh diverges too.  The
+    first diverging (step, receive antenna), in step order and then antenna
+    order, freezes every antenna: those before it keep that step's update,
+    it and those after it keep their filters from before the step, and the
+    rest of the packet runs on the frozen filters.
     """
-    nrx = len(ys)
-    nsteps = ys[0].shape[1]
-    nb = len(cs)
+    # A diverging filter or a non-finite observation overflows on purpose;
+    # the bound check catches what it makes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alg.endswith("-exact"):
+            return _adapt_exact(alg, scn, ys, ests, cs)
+        return _adapt_sg(alg, scn, ys, ests, truth, cs)
+
+
+def _adapt_sg(alg, scn, ys, ests, truth, cs):
+    """`_adapt` for ccm-sg, cmv-sg and trained LMS, `_CHUNK` steps at a time.
+
+    A branch's filter at step t is w_t = o_(t-1) + v_t (see `sg_chunk`).
+    Before the chunks, each receive antenna's packet gives X_b = R_b^H Y for
+    the restorer R_b = C_b (C_b^H C_b)^-1, so P_b Y = Y - C_b X_b and every
+    offset term y_t^H o_(t-1) = nu X_b[:, t]^H H_b is one product for the
+    packet; so are the offsets' norms and the normalized step gains.  Per
+    chunk and antenna, `sg_chunk` gives every step's output and coefficient
+    c_t from the Gram matrix Y^H P_b Y, `filter_norms2` every step's filter
+    norm, and the state at the chunk's end is one product, v - (P_b Y) c.
+    Trained LMS is plain LMS: no projector, no offset, a filter starting at
+    0.
+    """
+    nrx, nsteps, nb = len(ys), ys[0].shape[1], len(cs)
     per_block = nsteps // scn.blocks
-    symbols = truth.reshape(nsteps, nb)
     dim = cs[0].shape[0]
-    sg = alg in ("ccm-sg", "cmv-sg")
-    if sg:
-        projectors = [constraint_projector(c) for c in cs]
-        sg_step = ccm_sg_step if alg == "ccm-sg" else cmv_sg_step
-        mu = scn.step_ccm if alg == "ccm-sg" else scn.step_cmv
-    if alg == "trained-lms":
-        ws = [[np.zeros(dim, complex)] * nb for _ in range(nrx)]
+    lms = alg == "trained-lms"
+    if lms:
+        rule, mu = "lms", scn.step_lms
+        targets = np.conj(truth.reshape(nsteps, nb)).T
+        offset_terms = offset_norms2 = [np.zeros((nb, nsteps))] * nrx
     else:
+        rule = alg[:3]
+        mu = scn.step_ccm if rule == "ccm" else scn.step_cmv
         restorers = [constraint_restorer(c) for c in cs]
-        ws = [list(constraint_offsets(restorers, est[:, 0], scn.nu)) for est in ests]
+        cstack = np.stack(cs)
+        rs = np.stack(restorers)
+        rh = rs.conj().transpose(0, 2, 1)
+        xs = [rh @ y for y in ys]
+        prev = np.maximum(np.arange(nsteps) - 1, 0) // per_block
+        offset_terms, offset_norms2 = [], []
+        for x, est in zip(xs, ests):
+            hs = scn.nu * np.stack(branch_channels(est)[:nb])
+            offset_terms.append(np.sum(x.conj() * hs[:, :, prev], axis=1))
+            block_norms2 = np.sum(hs.conj() * (rh @ rs @ hs), axis=1).real
+            offset_norms2.append(block_norms2[:, np.arange(nsteps) // per_block])
+    if scn.normalize_steps and not lms:
+        # ||y_t||^2 from the real and imaginary views: no packet-sized temporary.
+        power = [np.einsum("ij,ij->j", y.real, y.real) + np.einsum("ij,ij->j", y.imag, y.imag) for y in ys]
+        gains = [mu / (p + 1e-12) for p in power]
+    else:
+        gains = [np.full(nsteps, mu)] * nrx
+    v = np.zeros((nrx, nb, dim), dtype=complex)
+
+    def filters(m, step):
+        """Antenna m's filters in use at `step`, o_(step-1) + v."""
+        if lms:
+            return v[m].copy()
+        block = max(step - 1, 0) // per_block
+        return constraint_offsets(restorers, ests[m][:, block], scn.nu) + v[m]
+
+    outputs = np.empty((nsteps, nrx, nb), dtype=complex)
+    for lo in range(0, nsteps, _CHUNK):
+        hi = min(lo + _CHUNK, nsteps)
+        k = hi - lo
+        chunks = []
+        for m, y in enumerate(ys):
+            y = y[:, lo:hi]
+            yh = y.conj().T
+            py = y[None] if lms else y - cstack @ xs[m][:, :, lo:hi]
+            gram = yh @ py
+            a = offset_terms[m][:, lo:hi]
+            rhs = a + (yh @ v[m].T).T
+            q, c = sg_chunk(rule, gram, rhs, gains[m][lo:hi], targets[:, lo:hi] if lms else 0.0)
+            start = np.sum(v[m].real**2 + v[m].imag**2, axis=1)
+            norms2 = filter_norms2(q, c, gram, a, offset_norms2[m][:, lo:hi], start)
+            ok = np.all(norms2 < _FILTER_LIMIT**2, axis=0)
+            chunks.append((py, q, c, k if ok.all() else int(np.argmin(ok))))
+        fail, culprit = min((chunk[3], m) for m, chunk in enumerate(chunks))
+        recorded = min(fail + 1, k)
+        reached = []
+        for m, (py, q, c, _) in enumerate(chunks):
+            outputs[lo : lo + recorded, m] = np.conj(q[:, :recorded]).T
+            n = min(fail + (m < culprit), k)
+            v[m] -= (py[..., :n] @ c[:, :n, None])[..., 0]
+            reached.append(lo + n)
+        if fail < k:
+            frozen = np.stack([filters(m, step) for m, step in enumerate(reached)])
+            for m, (w, y) in enumerate(zip(frozen, ys)):
+                outputs[lo + recorded :, m] = (w.conj() @ y[:, lo + recorded :]).T
+            return outputs, True, frozen
+    return outputs, False, np.stack([filters(m, nsteps) for m in range(nrx)])
+
+
+def _adapt_exact(alg, scn, ys, ests, cs):
+    """`_adapt` for ccm-exact and cmv-exact, one refresh window at a time.
+
+    The filters change only when a window of ``filter_refresh`` blocks
+    completes, so a window's outputs are one product W^H Y.  Its
+    observations then fold into the moments in one product: the covariance
+    with `CovarianceEstimate.update_batch` for cmv-exact, and for ccm-exact
+    S_b += Y diag(lambda^age |z_b|^2) Y^H and T_b += Y (lambda^age conj(z_b))
+    with the same ages.  A packet's last, incomplete window has no refresh.
+    """
+    nrx, nsteps, nb = len(ys), ys[0].shape[1], len(cs)
+    per_block = nsteps // scn.blocks
+    dim = cs[0].shape[0]
+    lam = scn.cov_forgetting
+    restorers = [constraint_restorer(c) for c in cs]
+    ws = [constraint_offsets(restorers, est[:, 0], scn.nu) for est in ests]
     if alg == "ccm-exact":
-        stats = [CcmStatistics(dim, nb, scn.cov_forgetting) for _ in range(nrx)]
-    elif alg == "cmv-exact":
-        stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
-        zero = np.zeros(dim, complex)
+        s = np.zeros((nrx, nb, dim, dim), dtype=complex)
+        t = np.zeros((nrx, nb, dim), dtype=complex)
+        weight = 0.0
+    else:
+        covs = [CovarianceEstimate(dim, forgetting=lam) for _ in range(nrx)]
+        zeros = [np.zeros(dim, dtype=complex)] * nb
     refresh = per_block * scn.filter_refresh
     outputs = np.empty((nsteps, nrx, nb), dtype=complex)
     diverged = False
-    for t in range(nsteps):
-        block = t // per_block
-        if sg and not diverged and t % (per_block * _CHUNK) == 0:
-            chunk = slice(block, block + _CHUNK)
-            offsets = [np.moveaxis(constraint_offsets(restorers, h[:, chunk], scn.nu), 2, 0) for h in ests]
-        for m in range(nrx):
-            y = ys[m][:, t]
-            zs = [np.vdot(wb, y) for wb in ws[m]]
-            outputs[t, m] = zs
-            if diverged:
-                continue
+    for lo in range(0, nsteps, refresh):
+        hi = min(lo + refresh, nsteps)
+        zs = [w.conj() @ y[:, lo:hi] for w, y in zip(ws, ys)]
+        for m, z in enumerate(zs):
+            outputs[lo:hi, m] = z.T
+        if diverged or hi - lo < refresh:
+            continue
+        ages = lam ** np.arange(hi - lo - 1, -1, -1, dtype=float)
+        if alg == "ccm-exact":
+            weight = lam ** (hi - lo) * weight + ages.sum()
+        h = [est[:, (hi - 1) // per_block] for est in ests]
+        for m, (y, z) in enumerate(zip(ys, zs)):
+            y = y[:, lo:hi]
             try:
-                if sg:
-                    off = offsets[m][block % _CHUNK]
-                    w = sg_step(ws[m], projectors, y, off, mu, scn.normalize_steps, zs)
-                elif alg == "trained-lms":
-                    w = trained_lms_step(ws[m], y, symbols[t], scn.step_lms, zs)
-                elif alg == "ccm-exact":
-                    stats[m].update(y, zs)
-                    w = ws[m]
-                    if (t + 1) % refresh == 0:
-                        moments = zip(stats[m].r, stats[m].d)
-                        w = _exact_filters(moments, cs, ests[m][:, block], scn)
+                if alg == "ccm-exact":
+                    s[m] = lam ** (hi - lo) * s[m] + (y * (ages * (z.real**2 + z.imag**2))[:, None, :]) @ y.conj().T
+                    t[m] = lam ** (hi - lo) * t[m] + (y @ (ages * np.conj(z)).T).T
+                    scale = max(weight, 1.0)
+                    ws[m] = _exact_filters(s[m] / scale, t[m] / scale, cs, h[m], scn)
                 else:
-                    stats[m].update(y)
-                    w = ws[m]
-                    if (t + 1) % refresh == 0:
-                        moments = [(stats[m].matrix, zero)] * nb
-                        w = _exact_filters(moments, cs, ests[m][:, block], scn)
-                if not all(map(_bounded, w)):
-                    raise ArithmeticError("filter norm out of bounds")
+                    covs[m].update_batch(y)
+                    ws[m] = _exact_filters([covs[m].matrix] * nb, zeros, cs, h[m], scn)
             except (np.linalg.LinAlgError, ArithmeticError):
                 diverged = True
-            else:
-                ws[m] = w
-    return outputs, diverged
+                break
+    return outputs, diverged, np.stack(ws)
 
 
 def run_trial(scn: Scenario, seed) -> TrialResult:
@@ -407,7 +501,7 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         result.diverged[name] = any(diverged for _, diverged in tracked)
     truth = streams[0].symbols
     for alg in scn.algorithms:
-        outputs, diverged = _adapt(alg, scn, ys, ests, truth, cs)
+        outputs, diverged, _ = _adapt(alg, scn, ys, ests, truth, cs)
         result.bit_errors[alg] = _packet_errors(outputs, truth, scn.combiner)
         result.diverged[alg] = diverged
     return result

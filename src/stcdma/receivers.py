@@ -14,15 +14,19 @@ Exact filters minimize a quadratic surrogate subject to a branch's constraints:
     with the modulus-weighted moments R = E[|z|^2 y y^H], d = E[conj(z) y];
   * minimum-variance variant:  the same expression with d = 0 and R = E[y y^H].
 
-Stochastic-gradient steps combine an oblique projection onto the constraint
-null space with re-imposition of the constraint offset each iteration, so the
-constraint holds exactly at every step regardless of the gradient noise.
-The steps take and return a sequence of per-branch filters.
+Stochastic-gradient steps project each update onto the constraint null
+space and re-impose the constraint offset, so the constraint holds exactly at
+every step regardless of the gradient noise.  `sg_chunk` evaluates a chunk of
+such steps at once, from the Gram matrix of the chunk's projected
+observations, in the block form of Benesty and Duhamel's fast exact LMS
+(IEEE Trans. Signal Process. 1992): the outputs are those of the steps taken
+one at a time, up to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -31,10 +35,8 @@ from .errors import ConditioningError, SingularConstraintError
 __all__ = [
     "branch_channels",
     "constraint_offsets",
-    "CcmStatistics",
-    "ccm_sg_step",
-    "cmv_sg_step",
-    "trained_lms_step",
+    "sg_chunk",
+    "filter_norms2",
     "detect",
     "CombinerGains",
     "combine",
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_SUBSTITUTION_BLOCK = 8
 
 
 def _gram_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -80,43 +83,6 @@ def constraint_offsets(restorers, h: np.ndarray, nu: float = 1.0) -> np.ndarray:
     return np.stack([r @ (nu * hb) for r, hb in zip(restorers, branch_channels(h))])
 
 
-@dataclass
-class CcmStatistics:
-    """Exponentially weighted modulus moments, one set per branch.
-
-    Tracks S_b = sum lambda^(age) |z_b|^2 y y^H and T_b = sum lambda^(age)
-    conj(z_b) y, stacked over branches, and their common weight so the
-    normalized moments are available at any time without start-up bias.
-    """
-
-    dim: int
-    branches: int
-    forgetting: float = 0.998
-    s: np.ndarray = field(init=False)
-    t: np.ndarray = field(init=False)
-    weight: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        self.s = np.zeros((self.branches, self.dim, self.dim), dtype=complex)
-        self.t = np.zeros((self.branches, self.dim), dtype=complex)
-
-    def update(self, y: np.ndarray, zs) -> None:
-        """Fold in one observation and the branches' outputs on it."""
-        lam = self.forgetting
-        zs = np.asarray(zs, dtype=complex)
-        self.s = lam * self.s + (np.abs(zs) ** 2)[:, None, None] * np.outer(y, y.conj())
-        self.t = lam * self.t + np.conj(zs)[:, None] * y
-        self.weight = lam * self.weight + 1.0
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.s / max(self.weight, 1.0)
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.t / max(self.weight, 1.0)
-
-
 def constrained_quadratic_filter(
     r: np.ndarray,
     d: np.ndarray,
@@ -145,45 +111,111 @@ def constrained_quadratic_filter(
     return ri_d - ri_c @ lam
 
 
-def _step_gain(y: np.ndarray, mu: float, normalize: bool) -> float:
-    """The sg step size: mu, or mu / (||y||^2 + eps) under ``normalize``."""
-    return mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
+def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
+    """One chunk of stochastic-gradient steps on every branch, evaluated
+    from the chunk's Gram matrices instead of step by step.
 
+    A branch's filter at step t is w_t = o_(t-1) + v_t, with o_(t-1) the
+    constraint offset of the previous step's block (of block 0 at step 0)
+    and v_t its part in the constraint null space.  A step sets
+    v_(t+1) = v_t - c_t P y_t, so within a chunk started at v_0 the
+    conjugated output q_t = y_t^H w_t is
 
-def ccm_sg_step(ws, projectors, y, offsets, mu=1e-3, normalize=False, outputs=None) -> list:
-    """One constant-modulus stochastic-gradient update of every branch,
-    w_b <- P_b (w_b - g e_b conj(z_b) y) + offset_b.
+        q_t = rhs_t - sum_{s<t} gram[t, s] c_s,
 
-    ``ws``, ``projectors`` and ``offsets`` hold one entry per branch: its
-    filter, its null-space projector and its constraint offset
-    (:func:`constraint_offsets`).  The sample gradient factor is e conj(z) y
-    with e = |z|^2 - 1 (one quarter of the full modulus-cost gradient; the
-    step size absorbs the rest).  g is mu, or with ``normalize`` mu divided
-    by ||y||^2 + eps.  ``outputs`` are the branches' outputs z on y, when the
-    caller has them.  Returns the new filters; ``ws`` is left as it is.
+    where ``rhs`` (branches, k) holds y_t^H (o_(t-1) + v_0) and ``gram``
+    ((branches or 1, k, k)) holds y_t^H P y_s.  The rules, with step sizes
+    ``gains`` g_t ((k,)):
+
+    - ``"cmv"``: c_t = g_t q_t, the output-power gradient;
+    - ``"ccm"``: c_t = g_t (|q_t|^2 - 1) q_t, a quarter of the modulus-cost
+      gradient (the step size absorbs the rest);
+    - ``"lms"``: c_t = g_t (q_t - targets_t), towards the conjugated training
+      symbols ``targets`` (branches, k), with P = I and no offset.
+
+    The linear rules are one unit lower triangular solve per branch for
+    u = q - targets.  ``"ccm"`` is a forward substitution of scalar steps,
+    `_SUBSTITUTION_BLOCK` at a time.  Returns q and c, (branches, k) each.
     """
-    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
-    g = _step_gain(y, mu, normalize)
-    return [
-        p @ (w - g * (abs(z) ** 2 - 1.0) * np.conj(z) * y) + o
-        for w, p, o, z in zip(ws, projectors, offsets, zs)
-    ]
+    if rule == "ccm":
+        return _modulus_substitution(gram, rhs, gains)
+    u = _unit_lower_solve(np.tril(gram, -1) * gains, rhs - targets)
+    return u + targets, gains * u
 
 
-def cmv_sg_step(ws, projectors, y, offsets, mu=1e-3, normalize=False, outputs=None) -> list:
-    """One output-power stochastic-gradient update of every branch,
-    w_b <- P_b (w_b - g conj(z_b) y) + offset_b; the arguments are as for
-    :func:`ccm_sg_step`."""
-    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
-    g = _step_gain(y, mu, normalize)
-    return [p @ (w - g * np.conj(z) * y) + o for w, p, o, z in zip(ws, projectors, offsets, zs)]
+def _unit_lower_solve(lower, rhs):
+    """x with (I + lower) x = rhs, for strictly lower triangular ``lower``
+    ((lanes or 1, k, k)) and ``rhs`` (lanes, k).
+
+    The system is solved reversed, as an upper triangular one, so partial
+    pivoting never swaps a row and the solve is plain substitution in step
+    order: no row reads a later one.  A non-finite entry would still spread
+    through the factorization, so a lane whose row n is the first with one
+    is solved over its first n rows only; x_n comes from those rows, and the
+    rows after it are NaN.  A non-finite observation fails its own step in
+    the caller's norm check.
+    """
+    k = rhs.shape[-1]
+    eye = np.eye(k)
+    finite = np.isfinite(lower).all(axis=-1) & np.isfinite(rhs)
+    if finite.all():
+        flipped = (eye + lower)[..., ::-1, ::-1]
+        return np.linalg.solve(flipped, rhs[..., ::-1, None])[..., ::-1, 0]
+    lower = np.broadcast_to(lower, rhs.shape + (k,))
+    x = np.full(rhs.shape, np.nan, dtype=complex)
+    for lane, good in enumerate(finite):
+        n = int(np.argmin(good)) if not good.all() else k
+        if n:
+            x[lane, :n] = _unit_lower_solve(lower[lane, :n, :n], rhs[lane, :n])
+        if n < k:
+            x[lane, n] = rhs[lane, n] - lower[lane, n, :n] @ x[lane, :n]
+    return x
 
 
-def trained_lms_step(ws, y: np.ndarray, symbols, mu: float, outputs=None) -> list:
-    """Least-mean-square update of every branch towards its known training
-    symbol; ``outputs`` are as for :func:`ccm_sg_step`."""
-    zs = [np.vdot(w, y) for w in ws] if outputs is None else outputs
-    return [w + mu * np.conj(s - z) * y for w, s, z in zip(ws, symbols, zs)]
+def _modulus_substitution(gram, rhs, gains):
+    """The ``"ccm"`` rule of `sg_chunk` as a forward substitution.
+
+    Inside a block of `_SUBSTITUTION_BLOCK` steps each step is plain Python
+    complex arithmetic against its row of the block's Gram matrix; between
+    blocks one batched product takes the block's coefficients out of every
+    later right-hand side.  |q|^2 is written out as re^2 + im^2, because
+    ``abs`` and ``**`` raise ``OverflowError`` on a diverging q where
+    products return inf.
+    """
+    nb, k = rhs.shape
+    q = np.empty_like(rhs)
+    c = np.zeros_like(rhs)
+    r = rhs.copy()
+    for lo in range(0, k, _SUBSTITUTION_BLOCK):
+        hi = min(lo + _SUBSTITUTION_BLOCK, k)
+        g = gains[lo:hi].tolist()
+        for b in range(nb):
+            qs, cs = [], []
+            for row, rt, gt in zip(gram[b, lo:hi, lo:hi].tolist(), r[b, lo:hi].tolist(), g):
+                qt = rt - sum(map(mul, row, cs))
+                qs.append(qt)
+                cs.append(gt * (qt.real * qt.real + qt.imag * qt.imag - 1.0) * qt)
+            q[b, lo:hi] = qs
+            c[b, lo:hi] = cs
+        if hi < k:
+            r[:, hi:] -= (gram[:, hi:, lo:hi] @ c[:, lo:hi, None])[..., 0]
+    return q, c
+
+
+def filter_norms2(q, c, gram, offset_terms, offset_norms2, start_norms2) -> np.ndarray:
+    """||w_(t+1)||^2 after every step of an `sg_chunk`, (branches, k).
+
+    o_t lies in the range of C and v in its null space, so
+    ||w_(t+1)||^2 = ||o_t||^2 + ||v_(t+1)||^2, and from v_(t+1) = v_t - c_t P y_t
+
+        ||v_(t+1)||^2 = ||v_t||^2 - 2 Re(c_t conj(q_t - a_t)) + |c_t|^2 y_t^H P y_t,
+
+    with a_t = y_t^H o_(t-1) (``offset_terms``), ``offset_norms2`` the
+    ||o_t||^2 and ``start_norms2`` the branches' ||v_0||^2.
+    """
+    diag = gram.diagonal(axis1=-2, axis2=-1).real
+    growth = (c.real * c.real + c.imag * c.imag) * diag - 2.0 * (c * np.conj(q - offset_terms)).real
+    return offset_norms2 + start_norms2[:, None] + np.cumsum(growth, axis=-1)
 
 
 def detect(z) -> np.ndarray:

@@ -15,6 +15,7 @@ from stcdma.channel_estimation import (
     scaled_inverse_power,
     sg_track,
 )
+from stcdma import harness
 from stcdma.harness import channel_mse, half_width, run_trial, smooth_series, trial_seed
 from stcdma.oracles import (
     central_difference,
@@ -24,11 +25,8 @@ from stcdma.oracles import (
     reference_received_blocks,
 )
 from stcdma.receivers import (
-    ccm_sg_step,
     constrained_quadratic_filter,
-    constraint_offsets,
     constraint_projector,
-    constraint_restorer,
     detect,
 )
 from stcdma.scenario import Scenario
@@ -85,14 +83,16 @@ def test_criterion_02_constraints_hold_through_adaptation():
     streams = [SymbolStream(symbols=random_qpsk(2 * steps, rng)) for _ in range(users)]
     y = simulate_packet(streams, sp, ch, Scenario().noise_variance(), rng)
     cm = user_constraint_matrices(sp, 0, lp)
-    cs = (cm.odd, cm.even)
-    projectors = [constraint_projector(c) for c in cs]
     h = ch.stacked[:, 0]
     nu = 1.4
-    offsets = constraint_offsets([constraint_restorer(c) for c in cs], h, nu)
-    ws = list(offsets)
-    for i in range(steps):
-        ws = ccm_sg_step(ws, projectors, y[:, i], offsets, mu=6e-3, normalize=True)
+    scn = Scenario(
+        gain=gain, n_paths=lp, users=users, packet_symbols=2 * steps, nu=nu,
+        step_ccm=6e-3, normalize_steps=True,
+    ).validate()
+    truth = np.zeros(2 * steps, dtype=complex)
+    ests = [np.repeat(h[:, None], steps, axis=1)]
+    _, diverged, (ws,) = harness._adapt("ccm-sg", scn, [y], ests, truth, (cm.odd, cm.even))
+    assert not diverged
     resid = max(
         float(np.linalg.norm(cm.odd.conj().T @ ws[0] - nu * h)),
         float(np.linalg.norm(cm.even.conj().T @ ws[1] - nu * np.conj(h))),

@@ -9,6 +9,7 @@ import pytest
 from stcdma import channel_estimation, harness
 from stcdma.channel_estimation import CovarianceEstimate, PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
+from stcdma.receivers import constraint_projector
 from stcdma.harness import (
     channel_mse,
     half_width,
@@ -18,6 +19,8 @@ from stcdma.harness import (
     trial_seed,
 )
 from stcdma.scenario import ALGORITHMS, Scenario, parse_scenario_file
+
+from adapt_reference import reference_adapt
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -107,6 +110,9 @@ def test_oversized_filter_step_flags_divergence_with_one_antenna():
     assert tr.bit_errors["ccm-sg"].shape == (200,)
 
 
+# The filter bound acts on every step through the norm recursion.  One
+# trained-LMS step with step size 1 from the zero filter, on the observation
+# w with training symbol 1, leaves the filter w.
 @pytest.mark.parametrize(
     "w,ok",
     [
@@ -120,38 +126,95 @@ def test_oversized_filter_step_flags_divergence_with_one_antenna():
     ],
 )
 def test_filter_bound_checks_finiteness_and_norm(w, ok):
-    assert harness._bounded(np.array(w, dtype=complex)) == ok
+    scn = Scenario(tx_antennas=1, packet_symbols=2, step_lms=1.0, ber_skip=0).validate()
+    ys = [np.array([w, [0, 0]], dtype=complex).T]
+    outputs, diverged, filters = harness._adapt(
+        "trained-lms", scn, ys, [], np.ones(2, dtype=complex), (np.zeros((2, 1)),)
+    )
+    assert diverged == (not ok)
+    assert np.array_equal(filters[0, 0], np.array(w, dtype=complex) if ok else np.zeros(2))
+    # The zero filter's output on w is 0, or NaN where w has an inf or NaN.
+    assert np.array_equal(outputs[1], [[0]])
+    assert np.isfinite(outputs[0, 0, 0]) == bool(np.all(np.isfinite(w)))
 
 
-def _poison_step(monkeypatch, name, call, branch, value):
-    """Make the given call of harness.<name> (a receiver step, which returns
-    new per-branch filters) put `value` into one branch's filter."""
-    real = getattr(harness, name)
-    calls = []
-
-    def step(ws, *args, **kwargs):
-        calls.append(None)
-        out = real(ws, *args, **kwargs)
-        if len(calls) == call + 1:
-            bad = out[branch].copy()
-            bad[0] = value
-            out[branch] = bad
-        return out
-
-    monkeypatch.setattr(harness, name, step)
-    return calls
+_CLEAN = {}
 
 
-def _freeze_step(monkeypatch, name, call):
-    """Make harness.<name> leave the filters as they are from the given call on."""
-    real = getattr(harness, name)
-    calls = []
+def _clean_inputs(tx, rx=1, **overrides):
+    """The arguments run_trial passes to harness._adapt for every algorithm,
+    on a tiny genie-channel trial at seed 3: {alg: [scn, ys, ests, truth, cs]}.
+    The genie channel does not depend on the packet, so a test may poison the
+    observations and adapt on them directly."""
+    key = (tx, rx, tuple(sorted(overrides.items())))
+    if key not in _CLEAN:
+        scn = _tiny_scenario(tx_antennas=tx, rx_antennas=rx, algorithms=ALGORITHMS, **overrides)
+        calls = {}
+        real = harness._adapt
 
-    def step(ws, *args, **kwargs):
-        calls.append(None)
-        return real(ws, *args, **kwargs) if len(calls) <= call else ws
+        def recording(alg, scn, *args):
+            calls[alg] = [scn, *args]
+            return real(alg, scn, *args)
 
-    monkeypatch.setattr(harness, name, step)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_adapt", recording)
+            run_trial(scn, 3)
+        _CLEAN[key] = calls
+    return {alg: list(args) for alg, args in _CLEAN[key].items()}
+
+
+def _poisoned(args, antenna, step, column):
+    """A copy of _adapt's arguments with one observation column replaced."""
+    args = list(args)
+    args[1] = [y.copy() for y in args[1]]
+    args[1][antenna][:, step] = column
+    return args
+
+
+def _nonfinite_column(y, branch, nb, value):
+    """The observation with ``value`` in the first entry of the branch's slot
+    (its half of a two-antenna block)."""
+    y = y.copy()
+    y[branch * (y.shape[0] // nb)] = value
+    return y
+
+
+def _jump_column(alg, scn, cs, w, y, branch, target):
+    """The observation, scaled so that the step on it moves the branch's
+    filter w by about ``target``.
+
+    With two sg branches the observation is first projected onto the range
+    of the other branch's constraint matrix, so the other branch's
+    null-space part does not move.  The move is g a^(p+1) |w^H y|^p ||P y||
+    for a scale a, with p = 3 for ccm-sg and 1 for cmv-sg and LMS.
+    """
+    if alg == "trained-lms":
+        p_y, g, p = y, scn.step_lms, 1
+    else:
+        if len(cs) == 2:
+            other = cs[1 - branch]
+            y = other @ np.linalg.lstsq(other, y, rcond=None)[0]
+        p_y = constraint_projector(cs[branch]) @ y
+        g, p = (scn.step_ccm, 3) if alg == "ccm-sg" else (scn.step_cmv, 1)
+    assert not scn.normalize_steps
+    z = abs(np.vdot(w[branch], y))
+    return (target / (g * z**p * np.linalg.norm(p_y))) ** (1.0 / (p + 1)) * y
+
+
+def _assert_matches_reference(alg, args):
+    """harness._adapt and the per-step reference on the same arguments give
+    the same divergence, the same non-finite outputs, and outputs and final
+    filters within rounding.  Returns the reference run."""
+    outputs, diverged, filters = harness._adapt(alg, *args)
+    ref = reference_adapt(alg, *args)
+    assert diverged == ref.diverged
+    finite = np.isfinite(ref.outputs)
+    assert np.array_equal(np.isfinite(outputs), finite)
+    tol = 1e-6 if alg.endswith("-exact") else 1e-10
+    scale = np.max(np.abs(ref.outputs[finite]))
+    assert np.max(np.abs(outputs[finite] - ref.outputs[finite])) <= tol * scale
+    assert np.max(np.abs(filters - ref.filters)) <= tol * np.max(np.abs(ref.filters))
+    return ref
 
 
 # (tx antennas, branch): two branches per block with two transmit antennas,
@@ -160,80 +223,161 @@ BRANCHES = [(2, 0), (2, 1), (1, 0)]
 BRANCH_IDS = ["w", "wbar", "1tx"]
 
 
-# One step call updates every branch of a block (of a symbol with one
-# transmit antenna), and its filters are checked once it returns.
+def _bad_column(alg, args, tx, branch, value, step=20):
+    """Column ``step`` of antenna 0 poisoned with a non-finite ``value``, or,
+    for a finite one, scaled so the branch's filter moves by 2 * value."""
+    scn, ys, _, _, cs = args
+    y = ys[0][:, step]
+    if np.isfinite(value):
+        w = reference_adapt(alg, *args).history[step, 0]
+        return _jump_column(alg, scn, cs, w, y, branch, 2 * value)
+    return _nonfinite_column(y, branch, len(cs), value)
+
+
+# A poisoned observation fails its own step on both antenna counts, and the
+# packet's bit errors keep their full length.
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
 @pytest.mark.parametrize(
     "tx,branch", BRANCHES, ids=["2tx-w", "2tx-wbar", "1tx"]
 )
-def test_bad_filter_stops_adaptation_on_both_paths(monkeypatch, tx, branch, value):
-    calls = _poison_step(monkeypatch, "trained_lms_step", 20, branch, value)
-    tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=("trained-lms",)), 3)
-    assert tr.diverged["trained-lms"]
-    assert tr.bit_errors["trained-lms"].shape == (200,)
-    assert len(calls) == 21
+def test_bad_filter_stops_adaptation_on_both_paths(tx, branch, value):
+    args = _clean_inputs(tx)["trained-lms"]
+    args = _poisoned(args, 0, 20, _bad_column("trained-lms", args, tx, branch, value))
+    ref = _assert_matches_reference("trained-lms", args)
+    assert ref.failed == (20, 0)
+    outputs, diverged, _ = harness._adapt("trained-lms", *args)
+    assert diverged
+    assert harness._packet_errors(outputs, args[3], args[0].combiner).shape == (200,)
 
 
 @pytest.mark.parametrize("tx", [1, 2])
-def test_filter_below_limit_keeps_adapting(monkeypatch, tx):
-    calls = _poison_step(monkeypatch, "trained_lms_step", 20, 0, 5e5)
-    tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=("trained-lms",)), 3)
-    assert not tr.diverged["trained-lms"]
-    assert len(calls) == 200 // tx
+def test_filter_below_limit_keeps_adapting(tx):
+    args = _clean_inputs(tx)["trained-lms"]
+    scn, ys, _, _, cs = args
+    w = reference_adapt("trained-lms", *args).history[20, 0]
+    column = min(
+        (_jump_column("trained-lms", scn, cs, w, ys[0][:, 20], b, 5e5) for b in range(len(cs))),
+        key=np.linalg.norm,
+    )
+    ref = _assert_matches_reference("trained-lms", _poisoned(args, 0, 20, column))
+    assert not ref.diverged
+    assert 1e5 < np.max(np.linalg.norm(ref.history, axis=-1)) < 1e6
 
 
-SG_STEPS = [("ccm_sg_step", "ccm-sg"), ("cmv_sg_step", "cmv-sg")]
+SG_ALGS = ["ccm-sg", "cmv-sg"]
 
 
-# On a bad branch the step is undone, so the rest of the packet runs on the
-# filters from before it.
+# On a bad step the update is undone, so the rest of the packet runs on the
+# filters from before it: those of the clean packet at that step.
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
 @pytest.mark.parametrize("tx,branch", BRANCHES, ids=BRANCH_IDS)
-@pytest.mark.parametrize("name,alg", SG_STEPS, ids=["ccm", "cmv"])
-def test_bad_sg_filter_stops_adaptation_at_that_block(monkeypatch, name, alg, tx, branch, value):
-    scn = _tiny_scenario(tx_antennas=tx, algorithms=(alg,))
-    with monkeypatch.context() as mp:
-        _freeze_step(mp, name, 20)
-        frozen = run_trial(scn, 3)
-    calls = _poison_step(monkeypatch, name, 20, branch, value)
-    tr = run_trial(scn, 3)
-    assert tr.diverged[alg]
-    assert len(calls) == 21
-    assert not frozen.diverged[alg]
-    assert np.array_equal(tr.bit_errors[alg], frozen.bit_errors[alg])
+@pytest.mark.parametrize("alg", SG_ALGS, ids=["ccm", "cmv"])
+def test_bad_sg_filter_stops_adaptation_at_that_block(alg, tx, branch, value):
+    clean = _clean_inputs(tx)[alg]
+    args = _poisoned(clean, 0, 20, _bad_column(alg, clean, tx, branch, value))
+    ref = _assert_matches_reference(alg, args)
+    assert ref.failed == (20, 0)
+    frozen = reference_adapt(alg, *clean).history[20, 0]
+    outputs, _, filters = harness._adapt(alg, *args)
+    later = frozen.conj() @ args[1][0][:, 21:]
+    assert np.allclose(outputs[21:, 0].T, later, rtol=1e-12, atol=1e-12)
+    assert np.allclose(filters[0], frozen, rtol=1e-12, atol=1e-12)
 
 
 # ccm's gradient is cubic in the output, so a 5e5 filter blows up on the next
 # step by itself; its control sits on the last step.
 @pytest.mark.parametrize("tx,branch", BRANCHES, ids=BRANCH_IDS)
-@pytest.mark.parametrize(
-    "name,alg,call", [("ccm_sg_step", "ccm-sg", -1), ("cmv_sg_step", "cmv-sg", 20)], ids=["ccm", "cmv"]
-)
-def test_sg_filter_below_limit_keeps_adapting(monkeypatch, name, alg, call, tx, branch):
-    steps = 200 // tx
-    calls = _poison_step(monkeypatch, name, call % steps, branch, 5e5)
-    tr = run_trial(_tiny_scenario(tx_antennas=tx, algorithms=(alg,)), 3)
-    assert not tr.diverged[alg]
-    assert len(calls) == steps
+@pytest.mark.parametrize("alg,step", [("ccm-sg", -1), ("cmv-sg", 20)], ids=["ccm", "cmv"])
+def test_sg_filter_below_limit_keeps_adapting(alg, step, tx, branch):
+    args = _clean_inputs(tx)[alg]
+    scn, ys, _, _, cs = args
+    step %= ys[0].shape[1]
+    w = reference_adapt(alg, *args).history[step, 0]
+    column = _jump_column(alg, scn, cs, w, ys[0][:, step], branch, 5e5)
+    ref = _assert_matches_reference(alg, _poisoned(args, 0, step, column))
+    assert not ref.diverged
+    assert 1e5 < np.linalg.norm(ref.filters[0, branch]) < 1e6
 
 
-def test_sg_steps_run_once_per_block_per_receive_antenna(monkeypatch):
-    """Once per block with two transmit antennas, once per symbol with one."""
-    counts = {}
-    for name, _ in SG_STEPS:
-        real = getattr(harness, name)
-
-        def step(*args, _name=name, _real=real, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, name, step)
+def test_sg_steps_run_once_per_block_per_receive_antenna():
+    """One step per block with two transmit antennas, per symbol with one, on
+    each receive antenna: the chunked outputs are the per-step reference's."""
     for tx, steps in ((2, 100), (1, 200)):
-        counts.clear()
-        scn = _tiny_scenario(tx_antennas=tx, algorithms=("ccm-sg", "cmv-sg"), rx_antennas=2)
-        tr = run_trial(scn, 3)
-        assert not any(tr.diverged.values())
-        assert counts == {"ccm_sg_step": steps * 2, "cmv_sg_step": steps * 2}
+        inputs = _clean_inputs(tx, rx=2)
+        for alg in SG_ALGS:
+            outputs, diverged, _ = harness._adapt(alg, *inputs[alg])
+            assert outputs.shape == (steps, 2, tx)
+            assert not diverged
+            _assert_matches_reference(alg, inputs[alg])
+
+
+# Every algorithm on a clean packet, and with forgetting, refresh and
+# normalized steps that the tiny default leaves out.
+@pytest.mark.parametrize("alg", ALGORITHMS)
+@pytest.mark.parametrize(
+    "tx,overrides",
+    [
+        (2, {}),
+        (1, {}),
+        (2, dict(normalize_steps=True, step_ccm=0.01, step_cmv=0.01, filter_refresh=7, cov_forgetting=0.97)),
+        (1, dict(normalize_steps=True, step_ccm=0.01, step_cmv=0.01, filter_refresh=7, cov_forgetting=1.0)),
+    ],
+    ids=["2tx", "1tx", "2tx-normalized", "1tx-normalized"],
+)
+def test_chunked_receivers_match_per_step_reference(alg, tx, overrides):
+    args = _clean_inputs(tx, rx=2, fading="clarke", doppler=0.01, **overrides)[alg]
+    assert args[1][0].shape[1] % harness._CHUNK != 0
+    ref = _assert_matches_reference(alg, args)
+    assert not ref.diverged
+
+
+# Oversized steps grow the filter step by step until the bound fails, in the
+# first chunk or a later one; rows past the failure hold huge values that
+# must not leak into earlier ones.
+@pytest.mark.parametrize(
+    "alg,tx,step,failing",
+    [
+        ("ccm-sg", 1, 1.0, 17),
+        ("ccm-sg", 1, 0.5, 55),
+        ("ccm-sg", 2, 0.03, 60),
+        ("cmv-sg", 2, 1.0, 21),
+        ("cmv-sg", 2, 0.55, 71),
+        ("cmv-sg", 1, 3.0, 88),
+        ("trained-lms", 1, 1.3, 44),
+        ("trained-lms", 2, 0.37, 67),
+        ("trained-lms", 1, 1.1, 137),
+    ],
+)
+def test_oversized_steps_diverge_where_the_reference_does(alg, tx, step, failing):
+    key = {"ccm-sg": "step_ccm", "cmv-sg": "step_cmv", "trained-lms": "step_lms"}[alg]
+    ref = _assert_matches_reference(alg, _clean_inputs(tx, **{key: step})[alg])
+    assert ref.failed == (failing, 0)
+
+
+# Which antenna fails first, as (antenna 0's, antenna 1's) poisoned step
+# relative to the placement.
+FIRST_FAILURES = {"antenna1-first": (12, 0), "antenna0-first": (0, 12), "same-step": (0, 0)}
+
+
+@pytest.mark.parametrize("place", [20, 63, 64, 75], ids=["first-chunk", "chunk-end", "chunk-start", "later-chunk"])
+@pytest.mark.parametrize("case", FIRST_FAILURES)
+@pytest.mark.parametrize("alg", ALGORITHMS)
+@pytest.mark.parametrize("tx", [1, 2])
+def test_two_antenna_divergence_freezes_both_in_loop_order(tx, alg, case, place):
+    """The first failing (step, antenna) in step order and then antenna order
+    freezes both antennas: the earlier antenna keeps that step's update, the
+    failing one and the later one keep their filters from before it.  An exact
+    receiver fails at the refresh that ends the poisoned window."""
+    args = _clean_inputs(tx, rx=2, filter_refresh=5)[alg]
+    steps = [place + offset for offset in FIRST_FAILURES[case]]
+    for m, step in enumerate(steps):
+        args = _poisoned(args, m, step, _nonfinite_column(args[1][m][:, step], 0, 1, np.nan))
+    if alg.endswith("-exact"):
+        refresh = 5 * (3 - tx)
+        steps = [(s // refresh + 1) * refresh - 1 for s in steps]
+    expected = min((s, m) for m, s in enumerate(steps))
+    ref = _assert_matches_reference(alg, args)
+    assert ref.failed == expected
 
 
 # normalize_steps divides the ccm-sg and cmv-sg steps by the input power on

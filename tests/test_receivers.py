@@ -1,24 +1,24 @@
-"""Constrained receiver algebra against KKT, pinv, and differencing oracles."""
+"""Constrained receiver algebra against KKT, pinv, and differencing oracles,
+and the chunked stochastic-gradient steps against their per-step formulas."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from stcdma import harness
 from stcdma.errors import SingularConstraintError
 from stcdma.oracles import central_difference, kkt_constrained_minimizer
 from stcdma.receivers import (
-    CcmStatistics,
     CombinerGains,
-    ccm_sg_step,
-    cmv_sg_step,
     combine,
     constrained_quadratic_filter,
     constraint_offsets,
     constraint_projector,
     constraint_restorer,
     detect,
-    trained_lms_step,
+    sg_chunk,
 )
+from stcdma.scenario import Scenario
 from stcdma.signal_model import random_multipath_channel, random_qpsk, simulate_packet
 from stcdma.signal_model import SymbolStream
 from stcdma.spreading import (
@@ -26,6 +26,8 @@ from stcdma.spreading import (
     random_spreading_set,
     user_constraint_matrices,
 )
+
+from adapt_reference import CcmStatistics, ccm_sg_step, cmv_sg_step
 
 
 def _random_constraints(rng, dim=12, ncon=4):
@@ -162,37 +164,68 @@ def _feasible_setup(seed, gain=16, lp=3):
     return rng, cm, projectors, restorers, h
 
 
+def _adapt_static(alg, cm, y, h, **scenario):
+    """harness._adapt on one receive antenna's two-antenna observations ``y``
+    ((dim, blocks)) under the fixed channel ``h``; returns the outputs of the
+    (blocks, branches) steps, whether they diverged, and the final filters."""
+    blocks = y.shape[1]
+    scn = Scenario(gain=16, n_paths=3, packet_symbols=2 * blocks, ber_skip=0, **scenario).validate()
+    ests = [np.repeat(h[:, None], blocks, axis=1)]
+    outputs, diverged, filters = harness._adapt(
+        alg, scn, [y], ests, np.zeros(2 * blocks, dtype=complex), (cm.odd, cm.even)
+    )
+    return outputs[:, 0], diverged, filters[0]
+
+
+def _one_step(rule, cs, y, offsets, mu, normalize=False):
+    """The branches' filters and outputs after one chunked step from their
+    offsets (v_0 = 0): w = o - c P y."""
+    py = np.stack([constraint_projector(c) @ y for c in cs])[..., None]
+    gram = y.conj() @ py
+    gain = mu / (np.vdot(y, y).real + 1e-12) if normalize else mu
+    q, c = sg_chunk(rule, gram[:, None], (y.conj() @ offsets.T)[:, None], np.array([gain]))
+    return offsets - c * py[..., 0], np.conj(q[:, 0])
+
+
 def test_sg_steps_keep_constraints_exact():
     rng, cm, projectors, restorers, h = _feasible_setup(8)
     nu = 1.3
-    offsets = constraint_offsets(restorers, h, nu)
-    ws = list(offsets)
     dim = cm.odd.shape[0]
-    for _ in range(50):
-        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ws = ccm_sg_step(ws, projectors, y, offsets, mu=1e-4)
+    y = rng.standard_normal((dim, 50)) + 1j * rng.standard_normal((dim, 50))
+    _, diverged, ws = _adapt_static("ccm-sg", cm, y, h, nu=nu, step_ccm=1e-4)
+    assert not diverged
     assert np.all(np.isfinite(ws[0]))
     assert np.max(np.abs(cm.odd.conj().T @ ws[0] - nu * h)) < 1e-10
     assert np.max(np.abs(cm.even.conj().T @ ws[1] - nu * np.conj(h))) < 1e-10
-    ws2 = list(offsets)
-    for _ in range(50):
-        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        ws2 = cmv_sg_step(ws2, projectors, y, offsets, mu=1e-2, normalize=True)
+    y = rng.standard_normal((dim, 50)) + 1j * rng.standard_normal((dim, 50))
+    _, _, ws2 = _adapt_static("cmv-sg", cm, y, h, nu=nu, step_cmv=1e-2, normalize_steps=True)
     assert np.max(np.abs(cm.odd.conj().T @ ws2[0] - nu * h)) < 1e-10
 
 
+# ``step`` is the per-step formula; the chunked steps reproduce its outputs
+# and filters over more than two chunks of observations.
 @pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
 def test_sg_step_with_given_outputs_matches_recomputed(step):
     rng, cm, projectors, restorers, h = _feasible_setup(12)
     dim = cm.odd.shape[0]
-    y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    n = 2 * harness._CHUNK + 22
+    y = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     offsets = constraint_offsets(restorers, h, 1.2)
     ws = list(offsets)
-    recomputed = step(ws, projectors, y, offsets, mu=1e-2, normalize=True)
-    given = step(ws, projectors, y, offsets, 1e-2, True, [np.vdot(w, y) for w in ws])
-    assert all(np.array_equal(a, b) for a, b in zip(recomputed, given))
-    # The step returns new filters and leaves the ones it was given alone.
-    assert all(np.array_equal(a, b) for a, b in zip(ws, offsets))
+    zs = []
+    for t in range(n):
+        z = [np.vdot(w, y[:, t]) for w in ws]
+        recomputed = step(ws, projectors, y[:, t], offsets, mu=1e-2, normalize=True)
+        ws = step(ws, projectors, y[:, t], offsets, 1e-2, True, z)
+        assert all(np.array_equal(a, b) for a, b in zip(recomputed, ws))
+        zs.append(z)
+    alg = "ccm-sg" if step is ccm_sg_step else "cmv-sg"
+    outputs, diverged, filters = _adapt_static(
+        alg, cm, y, h, nu=1.2, step_ccm=1e-2, step_cmv=1e-2, normalize_steps=True
+    )
+    assert not diverged
+    assert np.max(np.abs(outputs - np.array(zs))) < 1e-12 * np.max(np.abs(zs))
+    assert np.max(np.abs(filters - np.array(ws))) < 1e-12 * np.max(np.abs(ws))
 
 
 @pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
@@ -207,8 +240,10 @@ def test_sg_step_on_one_branch_matches_its_formula(step):
     offsets = constraint_offsets([constraint_restorer(conv)], h, 1.4)
     assert offsets.shape == (1, conv.shape[0])
     y = rng.standard_normal(conv.shape[0]) + 1j * rng.standard_normal(conv.shape[0])
-    (w,) = step(list(offsets), [pi], y, offsets, mu=1e-2, normalize=True)
+    rule = "ccm" if step is ccm_sg_step else "cmv"
+    (w,), (out,) = _one_step(rule, [conv], y, offsets, mu=1e-2, normalize=True)
     z = np.vdot(offsets[0], y)
+    assert abs(out - z) < 1e-12 * abs(z)
     coef = (abs(z) ** 2 - 1.0) * np.conj(z) if step is ccm_sg_step else np.conj(z)
     expected = pi @ (offsets[0] - 1e-2 / np.vdot(y, y).real * coef * y) + offsets[0]
     assert np.max(np.abs(w - expected)) < 1e-12
@@ -234,7 +269,7 @@ def test_ccm_step_moves_along_projected_gradient():
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     z = np.vdot(offsets[0], y)
     mu = 1e-3
-    ws = ccm_sg_step(list(offsets), projectors, y, offsets, mu=mu)
+    ws, _ = _one_step("ccm", (cm.odd, cm.even), y, offsets, mu)
     expected = offsets[0] - mu * projectors[0] @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
     assert np.max(np.abs(ws[0] - expected)) < 1e-12
 
@@ -267,8 +302,8 @@ def test_normalized_step_scales_by_input_power():
     y = 10.0 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     offsets = constraint_offsets(restorers, h, 1.0)
     w0 = offsets[0]
-    raw = cmv_sg_step(list(offsets), projectors, y, offsets, mu=1e-3, normalize=False)
-    norm = cmv_sg_step(list(offsets), projectors, y, offsets, mu=1e-3, normalize=True)
+    raw, _ = _one_step("cmv", (cm.odd, cm.even), y, offsets, 1e-3, normalize=False)
+    norm, _ = _one_step("cmv", (cm.odd, cm.even), y, offsets, 1e-3, normalize=True)
     power = np.vdot(y, y).real
     raw_move = raw[0] - w0
     norm_move = norm[0] - w0
@@ -292,12 +327,17 @@ def test_trained_lms_approaches_wiener_filter():
     r = 2.0 * np.outer(h, h.conj()) + sigma2 * np.eye(dim)
     p = 2.0 * h
     w_mmse = np.linalg.solve(r, p)
-    w = np.zeros(dim, dtype=complex)
-    for _ in range(20_000):
-        s = random_qpsk(1, rng)[0]
+    steps = 20_000
+    ys = np.empty((dim, steps), dtype=complex)
+    symbols = np.empty(steps, dtype=complex)
+    for t in range(steps):
+        symbols[t] = random_qpsk(1, rng)[0]
         n = np.sqrt(sigma2 / 2) * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        y = h * s + n
-        (w,) = trained_lms_step([w], y, [s], mu=0.005)
+        ys[:, t] = h * symbols[t] + n
+    scn = Scenario(tx_antennas=1, packet_symbols=steps, step_lms=0.005, ber_skip=0).validate()
+    _, diverged, filters = harness._adapt("trained-lms", scn, [ys], [], symbols, (np.zeros((dim, 1)),))
+    assert not diverged
+    w = filters[0, 0]
     assert np.linalg.norm(w - w_mmse) < 0.15 * np.linalg.norm(w_mmse)
 
 
@@ -374,12 +414,12 @@ def test_ccm_exact_filter_separates_users_at_scale():
     y = simulate_packet(streams, sp, ch, 0.0, rng)
     cm = user_constraint_matrices(sp, 0, lp)
     h = ch.stacked[:, 0]
-    stats = CcmStatistics(dim=2 * (gain + lp - 1), branches=2, forgetting=1.0)
-    restorers = [constraint_restorer(c) for c in (cm.odd, cm.even)]
-    start = constraint_offsets(restorers, h, 1.0)
-    for i in range(nblocks):
-        stats.update(y[:, i], [np.vdot(w, y[:, i]) for w in start])
-    w, wbar = _exact_filters(zip(stats.r, stats.d), cm, h, nu=1.0, ridge=1e-9)
+    # One refresh at the end of the packet: the moments of every block under
+    # the starting filters, the constraint offsets.
+    _, diverged, (w, wbar) = _adapt_static(
+        "ccm-exact", cm, y, h, nu=1.0, ridge=1e-9, cov_forgetting=1.0, filter_refresh=nblocks
+    )
+    assert not diverged
     z = np.stack((w.conj() @ y, wbar.conj() @ y), axis=1)
     assert np.array_equal(detect(z[:, 0]), detect(streams[0].symbols[0::2]))
     assert np.array_equal(detect(z[:, 1]), detect(streams[0].symbols[1::2]))
