@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -572,6 +571,9 @@ def sweep(
         for r in range(runs)
     ]
     if workers and workers > 1:
+        # Imported here so serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:

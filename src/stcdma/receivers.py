@@ -99,10 +99,10 @@ def constrained_quadratic_filter(
     if not np.all(np.isfinite(rr)):
         raise ConditioningError("covariance contains non-finite entries")
     try:
-        ri_d = np.linalg.solve(rr, d)
-        ri_c = np.linalg.solve(rr, c.astype(complex))
+        ri_dc = np.linalg.solve(rr, np.column_stack([d, c]))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance solve failed: {exc}") from exc
+    ri_d, ri_c = ri_dc[:, 0], ri_dc[:, 1:]
     gram = c.conj().T @ ri_c
     try:
         lam = np.linalg.solve(gram, c.conj().T @ ri_d - target)

@@ -89,3 +89,54 @@ def test_matches_complex_exponential_formula_and_draw_order(fd_t, num_taps, leng
     taps = clarke_fading_sequence(fd_t, num_taps, length, seed=rng)
     assert np.max(np.abs(taps - oracle)) < 1e-14
     assert rng.random() == rng_oracle.random()
+
+
+@pytest.mark.parametrize("fd_t", [0.0005, 0.005])
+@pytest.mark.parametrize("num_taps", [1, 3])
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 1001])
+@pytest.mark.parametrize("seeded_by", ["int", "generator"])
+def test_chunk_boundaries_match_complex_exponential_formula(fd_t, num_taps, length, seeded_by):
+    # The generator evaluates 8 samples per anchor; these lengths end one
+    # short of, on and one past a chunk boundary.
+    seed = 100 + length
+    rng_oracle = np.random.default_rng(seed)
+    oracle = _exp_formula(fd_t, num_taps, length, rng_oracle)
+    rng = np.random.default_rng(seed)
+    taps = clarke_fading_sequence(fd_t, num_taps, length, seed=seed if seeded_by == "int" else rng)
+    assert taps.shape == (num_taps, length)
+    assert np.max(np.abs(taps - oracle)) < 1e-14
+    if seeded_by == "generator":
+        assert rng.random() == rng_oracle.random()
+
+
+def _extended_precision_formula(fd_t, num_taps, length, rng, oscillators=64):
+    """`_exp_formula`'s draws, with the phases and sinusoids evaluated in
+    long double from the same double-precision Dopplers and phases."""
+    t = np.arange(length).astype(np.longdouble)
+    base = 2.0 * np.pi * (np.arange(oscillators) + 0.5) / oscillators
+    out = np.empty((num_taps, length), dtype=np.clongdouble)
+    for tap in range(num_taps):
+        angles = base + rng.uniform(0.0, 2.0 * np.pi)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=oscillators).astype(np.longdouble)
+        doppler = (2.0 * np.pi * fd_t * np.cos(angles)).astype(np.longdouble)
+        phase = doppler[:, None] * t + phases[:, None]
+        out[tap] = (np.cos(phase) + 1j * np.sin(phase)).sum(0) / np.sqrt(oscillators)
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double on this platform",
+)
+def test_long_sequences_are_as_accurate_as_per_sample_exponentials():
+    # Past about 80 rad of phase, one ulp of the phase exceeds 1e-14, so the
+    # per-sample formula and the chunked product each round it their own
+    # way and differ by more than the bounds above.  Against an
+    # extended-precision sum, both stay within 2 eps times the largest phase.
+    fd_t, num_taps, length, seed = 0.05, 2, 3000, 13
+    exact = _extended_precision_formula(fd_t, num_taps, length, np.random.default_rng(seed))
+    per_sample = _exp_formula(fd_t, num_taps, length, np.random.default_rng(seed))
+    chunked = clarke_fading_sequence(fd_t, num_taps, length, seed=seed)
+    bound = 2 * np.finfo(float).eps * (2.0 * np.pi * (fd_t * length + 1))
+    assert np.max(np.abs(per_sample - exact)) < bound
+    assert np.max(np.abs(chunked - exact)) < bound
