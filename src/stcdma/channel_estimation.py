@@ -5,10 +5,11 @@ observation covariance R, so the noise eigenvectors V_n satisfy
 V_n^H C H = 0 and H is the minimum eigenvector of C^H V_n V_n^H C.  Explicit
 eigendecomposition of R can be avoided: (R / sigma^2)^-p converges to the
 noise-subspace projector V_n V_n^H as p grows (signal directions are damped by
-(1 + lambda_s / sigma^2)^-p), and the scale-invariant argmin works with R^-p
-directly.  The exact estimator here takes the minimum eigenvector of
-C^H R^-p C; the stochastic-gradient tracker `sg_track` follows the same
-quantity with a power-method-style recursion that never decomposes anything.
+(1 + lambda_s / sigma^2)^-p; `oracles.scaled_inverse_power` forms it for the
+checks), and the scale-invariant argmin works with R^-p directly.  The exact
+estimator here takes the minimum eigenvector of C^H R^-p C; the
+stochastic-gradient tracker `sg_track` follows the same quantity with a
+power-method-style recursion that never decomposes anything.
 
 The harness refreshes the exact estimate once per block, from a covariance
 folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
@@ -33,7 +34,6 @@ from .errors import ConditioningError
 __all__ = [
     "CovarianceEstimate",
     "estimate_channel_exact",
-    "scaled_inverse_power",
     "PsiEstimate",
     "sg_track",
     "canonical_phase",
@@ -64,17 +64,9 @@ class CovarianceEstimate:
             raise ValueError("forgetting factor must lie in (0, 1]")
         self.s = np.zeros((self.dim, self.dim), dtype=complex)
 
-    def update(self, y: np.ndarray) -> None:
-        self.s = self.forgetting * self.s + np.outer(y, y.conj())
-        self.weight = self.forgetting * self.weight + 1.0
-
     def update_batch(self, ys: np.ndarray) -> None:
         """Fold in the columns of `ys` ((dim, count)) oldest first."""
         count = ys.shape[1]
-        if self.forgetting == 1.0:
-            self.s += ys @ ys.conj().T
-            self.weight += count
-            return
         ages = self.forgetting ** np.arange(count - 1, -1, -1, dtype=float)
         weighted = ys * np.sqrt(ages)[None, :]
         self.s = self.forgetting**count * self.s + weighted @ weighted.conj().T
@@ -167,22 +159,6 @@ def estimate_channel_exact(
     vec = qvecs[:, int(np.argmin(qvals))]
     vec = vec / np.linalg.norm(vec)
     return canonical_phase(vec)
-
-
-def scaled_inverse_power(r: np.ndarray, noise_var: float, power: int) -> np.ndarray:
-    """(R / noise_var)^-power, the decomposition-free stand-in for the
-    noise-subspace projector; signal directions decay as
-    (1 + lambda_s / noise_var)^-power."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    scaled = np.asarray(r, dtype=complex) / noise_var
-    try:
-        inv = np.linalg.inv(scaled)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"covariance inversion failed: {exc}") from exc
-    return np.linalg.matrix_power(inv, power)
 
 
 @dataclass

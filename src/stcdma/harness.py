@@ -35,6 +35,7 @@ packets at once.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import warnings
 from dataclasses import dataclass, field
@@ -66,11 +67,7 @@ from .signal_model import (
     random_qpsk,
     simulate_packet,
 )
-from .spreading import (
-    build_convolution_matrix,
-    random_spreading_set,
-    user_constraint_matrices,
-)
+from .spreading import random_spreading_set, user_constraint_matrices
 
 __all__ = [
     "TrialResult",
@@ -414,24 +411,22 @@ def _adapt_exact(alg, scn, ys, ests, cs):
 
     The filters change only when a window of ``filter_refresh`` blocks
     completes, so a window's outputs are one product W^H Y.  Its
-    observations then fold into the moments in one product: the covariance
-    with `CovarianceEstimate.update_batch` for cmv-exact, and for ccm-exact
-    S_b += Y diag(lambda^age |z_b|^2) Y^H and T_b += Y (lambda^age conj(z_b))
-    with the same ages.  A packet's last, incomplete window has no refresh.
+    observations then fold into both receivers' moments R_b = S_b / weight,
+    d_b = T_b / weight in one product, S_b += Y diag(lambda^age m_b) Y^H.
+    For ccm-exact m_b = |z_b|^2 and T_b += Y (lambda^age conj(z_b)); for
+    cmv-exact m_b = 1 and T_b = 0, and its branches share one S.  A
+    packet's last, incomplete window has no refresh.
     """
     nrx, nsteps, nb = len(ys), ys[0].shape[1], len(cs)
     per_block = nsteps // scn.blocks
     dim = cs[0].shape[0]
     lam = scn.cov_forgetting
+    ccm = alg == "ccm-exact"
     restorers = [constraint_restorer(c) for c in cs]
     ws = [constraint_offsets(restorers, est[:, 0], scn.nu) for est in ests]
-    if alg == "ccm-exact":
-        s = np.zeros((nrx, nb, dim, dim), dtype=complex)
-        t = np.zeros((nrx, nb, dim), dtype=complex)
-        weight = 0.0
-    else:
-        covs = [CovarianceEstimate(dim, forgetting=lam) for _ in range(nrx)]
-        zeros = [np.zeros(dim, dtype=complex)] * nb
+    s = np.zeros((nrx, nb if ccm else 1, dim, dim), dtype=complex)
+    t = np.zeros((nrx, nb, dim), dtype=complex)
+    weight = 0.0
     refresh = per_block * scn.filter_refresh
     outputs = np.empty((nsteps, nrx, nb), dtype=complex)
     diverged = False
@@ -443,20 +438,18 @@ def _adapt_exact(alg, scn, ys, ests, cs):
         if diverged or hi - lo < refresh:
             continue
         ages = lam ** np.arange(hi - lo - 1, -1, -1, dtype=float)
-        if alg == "ccm-exact":
-            weight = lam ** (hi - lo) * weight + ages.sum()
+        weight = lam ** (hi - lo) * weight + ages.sum()
+        scale = max(weight, 1.0)
         h = [est[:, (hi - 1) // per_block] for est in ests]
         for m, (y, z) in enumerate(zip(ys, zs)):
             y = y[:, lo:hi]
+            moduli = z.real**2 + z.imag**2 if ccm else np.ones((1, hi - lo))
             try:
-                if alg == "ccm-exact":
-                    s[m] = lam ** (hi - lo) * s[m] + (y * (ages * (z.real**2 + z.imag**2))[:, None, :]) @ y.conj().T
+                s[m] = lam ** (hi - lo) * s[m] + (y * (ages * moduli)[:, None, :]) @ y.conj().T
+                if ccm:
                     t[m] = lam ** (hi - lo) * t[m] + (y @ (ages * np.conj(z)).T).T
-                    scale = max(weight, 1.0)
-                    ws[m] = _exact_filters(s[m] / scale, t[m] / scale, cs, h[m], scn)
-                else:
-                    covs[m].update_batch(y)
-                    ws[m] = _exact_filters([covs[m].matrix] * nb, zeros, cs, h[m], scn)
+                rs = np.broadcast_to(s[m] / scale, (nb, dim, dim))
+                ws[m] = _exact_filters(rs, t[m] / scale, cs, h[m], scn)
             except (np.linalg.LinAlgError, ArithmeticError):
                 diverged = True
                 break
@@ -482,11 +475,7 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
     ]
     result = TrialResult()
     need_tracking = scn.channel_estimator != "genie" or any(a != "trained-lms" for a in scn.algorithms)
-    if scn.tx_antennas == 2:
-        cm = user_constraint_matrices(spreading, 0, scn.n_paths)
-        cs = (cm.odd, cm.even)
-    else:
-        cs = (build_convolution_matrix(spreading.code(0, 0), scn.n_paths),)
+    cs = user_constraint_matrices(spreading, 0, scn.n_paths)
     ests = []
     if need_tracking and scn.channel_estimator == "genie":
         ests = [s / np.linalg.norm(s, axis=0) for s in (ch.stacked for ch in channels)]
@@ -574,8 +563,14 @@ def sweep(
         # Imported here so serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
+        # Frozen objects stay out of the workers' collections, which would
+        # otherwise write to, and so copy, pages the fork shares.
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_run_task, tasks))
+        finally:
+            gc.unfreeze()
     else:
         outcomes = [_run_task(t) for t in tasks]
     by_point: dict[int, list] = {}
@@ -585,39 +580,22 @@ def sweep(
     diverged_total = 0
     for p, trials in by_point.items():
         diverged_total += sum(any(tr.diverged.values()) for tr in trials)
-        algs = sorted(trials[0].bit_errors)
-        chans = sorted(trials[0].channel_mse)
-        if axis == "symbols":
-            for alg in algs:
-                per_run = np.stack(
-                    [smooth_series(tr.bit_errors[alg] / 2.0, smooth_window) for tr in trials]
-                )
-                for g in grid:
-                    col = per_run[:, int(g)]
-                    rows.append(
-                        MetricRow(float(g), alg, "ber", float(col.mean()), half_width(col), runs)
-                    )
-            for name in chans:
-                per_run = np.stack([tr.channel_mse[name] for tr in trials])
-                for g in grid:
-                    col = per_run[:, int(g)]
-                    rows.append(
-                        MetricRow(float(g), name, "mse", float(col.mean()), half_width(col), runs)
-                    )
-        else:
-            skip = points[p].ber_skip
-            for alg in algs:
-                per_run = np.array(
-                    [tr.bit_errors[alg][skip:].sum() / (2.0 * (points[p].packet_symbols - skip)) for tr in trials]
-                )
-                rows.append(
-                    MetricRow(float(grid[p]), alg, "ber", float(per_run.mean()), half_width(per_run), runs)
-                )
-            for name in chans:
-                per_run = np.array([tr.channel_mse[name][skip:].mean() for tr in trials])
-                rows.append(
-                    MetricRow(float(grid[p]), name, "mse", float(per_run.mean()), half_width(per_run), runs)
-                )
+        # Halving the bit errors is exact, so a mean of halves is the rate.
+        series = [
+            (alg, "ber", [tr.bit_errors[alg] / 2.0 for tr in trials])
+            for alg in sorted(trials[0].bit_errors)
+        ] + [
+            (name, "mse", [tr.channel_mse[name] for tr in trials])
+            for name in sorted(trials[0].channel_mse)
+        ]
+        for name, metric, per_trial in series:
+            if axis == "symbols":
+                per_run = np.stack([smooth_series(x, smooth_window) if metric == "ber" else x for x in per_trial])
+                cols = [(float(g), per_run[:, int(g)]) for g in grid]
+            else:
+                skip = points[p].ber_skip
+                cols = [(float(grid[p]), np.array([x[skip:].mean() for x in per_trial]))]
+            rows += [MetricRow(v, name, metric, float(col.mean()), half_width(col), runs) for v, col in cols]
     rows.sort(key=lambda r: (r.axis_value, r.algorithm, r.metric))
     return MetricsSeries(
         axis=axis,

@@ -2,14 +2,17 @@
 
 Nothing here shares code with the production paths: the received-signal
 reference walks the transmission chip by chip, the constrained minimizer is
-solved through its stationarity system, and eigenvector references use a full
-eigendecomposition.  These run in the test suite and in the CLI selftest.
+solved through its stationarity system, eigenvector references use a full
+eigendecomposition, and the inverse-power stand-in for the noise-subspace
+projector is an explicit matrix inverse.  These run in the test suite and in
+the CLI selftest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConditioningError
 from .signal_model import SpaceTimeChannel, SymbolStream
 from .spreading import SpreadingSet
 
@@ -19,6 +22,7 @@ __all__ = [
     "central_difference",
     "min_eigenvector",
     "noise_subspace_projector",
+    "scaled_inverse_power",
 ]
 
 
@@ -113,3 +117,19 @@ def noise_subspace_projector(r: np.ndarray, signal_dim: int) -> np.ndarray:
     order = np.argsort(vals)
     vn = vecs[:, order[: r.shape[0] - signal_dim]]
     return vn @ vn.conj().T
+
+
+def scaled_inverse_power(r: np.ndarray, noise_var: float, power: int) -> np.ndarray:
+    """(R / noise_var)^-power, the decomposition-free stand-in for the
+    noise-subspace projector; signal directions decay as
+    (1 + lambda_s / noise_var)^-power."""
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    if power < 1:
+        raise ValueError("power must be a positive integer")
+    scaled = np.asarray(r, dtype=complex) / noise_var
+    try:
+        inv = np.linalg.inv(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"covariance inversion failed: {exc}") from exc
+    return np.linalg.matrix_power(inv, power)

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ScenarioError
+from .spreading import SCHEMES
 
 ALGORITHMS = ("ccm-exact", "ccm-sg", "cmv-exact", "cmv-sg", "trained-lms")
 ESTIMATORS = ("genie", "svd", "sg")
@@ -96,7 +97,7 @@ class Scenario:
             bad("rx_antennas", "must be positive")
         if self.combiner not in COMBINERS:
             bad("combiner", f"must be one of {COMBINERS}")
-        if self.spreading_scheme not in ("zero-padded", "sign-flipped"):
+        if self.spreading_scheme not in SCHEMES:
             bad("spreading_scheme", "must be zero-padded or sign-flipped")
         if self.channel_profile not in PROFILES:
             bad("channel_profile", f"must be one of {PROFILES}")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel_estimation import scaled_inverse_power
 from .oracles import (
     central_difference,
     kkt_constrained_minimizer,
     noise_subspace_projector,
     reference_received_blocks,
+    scaled_inverse_power,
 )
 from .receivers import (
     constrained_quadratic_filter,

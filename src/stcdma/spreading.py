@@ -24,8 +24,6 @@ __all__ = [
     "SpreadingSet",
     "random_spreading_set",
     "build_convolution_matrix",
-    "ConstraintMatrices",
-    "build_constraint_matrices",
     "user_constraint_matrices",
 ]
 
@@ -111,40 +109,17 @@ def build_convolution_matrix(code: np.ndarray, n_paths: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ConstraintMatrices:
-    """Code-structure matrices of the stacked two-slot block model.
+def user_constraint_matrices(spreading: SpreadingSet, user: int, n_paths: int) -> tuple[np.ndarray, ...]:
+    """One user's constraint matrices, one per receiver branch.
 
-    ``odd`` multiplies the stacked channel to give the signature of a block's
-    first symbol; ``even`` multiplies the conjugated stacked channel to give
-    the signature of the second symbol.  Both are (2M, 2 Lp) with
-    M = gain + n_paths - 1.
+    With one transmit antenna: ``(conv,)``, the code's (M, n_paths)
+    convolution matrix, M = gain + n_paths - 1.  With two: ``(C, Cbar)``,
+    each (2M, 2 n_paths), which give the signatures of a block's first and
+    second symbol from the stacked channel and its conjugate.
     """
-
-    odd: np.ndarray
-    even: np.ndarray
-
-
-def build_constraint_matrices(c1: np.ndarray, c2: np.ndarray) -> ConstraintMatrices:
-    """Assemble the block-model code matrices from the two per-antenna
-    convolution matrices.  Raises on shape mismatch."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if c1.shape != c2.shape:
-        raise ValueError(f"convolution matrix shapes differ: {c1.shape} vs {c2.shape}")
-    m, lp = c1.shape
-    zero = np.zeros((m, lp))
-    odd = np.block([[c1, zero], [zero, c2]])
-    even = np.block([[zero, c2], [-c1, zero]])
-    return ConstraintMatrices(odd=odd, even=even)
-
-
-def user_constraint_matrices(
-    spreading: SpreadingSet, user: int, n_paths: int
-) -> ConstraintMatrices:
-    """Constraint matrices for one user of a two-antenna spreading set."""
-    if spreading.tx_antennas != 2:
-        raise ValueError("constraint matrix pair requires a two-antenna spreading set")
+    if spreading.tx_antennas == 1:
+        return (build_convolution_matrix(spreading.code(user, 0), n_paths),)
     c1 = build_convolution_matrix(spreading.code(user, 0), n_paths)
     c2 = build_convolution_matrix(spreading.code(user, 1), n_paths)
-    return build_constraint_matrices(c1, c2)
+    zero = np.zeros_like(c1)
+    return np.block([[c1, zero], [zero, c2]]), np.block([[zero, c2], [-c1, zero]])

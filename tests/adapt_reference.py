@@ -2,8 +2,8 @@
 
 This is the receiver loop as it stood before the harness evaluated the steps
 a chunk at a time: the stochastic-gradient and LMS step formulas, the
-modulus moments of the exact constant-modulus receiver, the filter bound,
-and the loop that runs them one observation column at a time.  Tests compare
+moments of the exact receivers folded one observation at a time, the filter
+bound, and the loop that runs them one observation column at a time.  Tests compare
 the chunked production path against it; nothing in ``src/`` calls it.
 """
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from stcdma.channel_estimation import CovarianceEstimate
 from stcdma.receivers import (
     branch_channels,
     constrained_quadratic_filter,
@@ -27,6 +26,24 @@ def bounded(w: np.ndarray) -> bool:
     """True while the filter's norm is below the limit; a NaN or inf norm
     fails the comparison by itself."""
     return np.vdot(w, w).real < FILTER_LIMIT**2
+
+
+class SequentialCovariance:
+    """Exponentially weighted sample covariance S / weight, with
+    S = sum lambda^(age) y y^H, folded one observation at a time."""
+
+    def __init__(self, dim: int, forgetting: float):
+        self.forgetting = forgetting
+        self.s = np.zeros((dim, dim), dtype=complex)
+        self.weight = 0.0
+
+    def update(self, y: np.ndarray) -> None:
+        self.s = self.forgetting * self.s + np.outer(y, y.conj())
+        self.weight = self.forgetting * self.weight + 1.0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.s / self.weight
 
 
 @dataclass
@@ -130,7 +147,7 @@ def reference_adapt(alg, scn, ys, ests, truth, cs) -> Run:
     if alg == "ccm-exact":
         stats = [CcmStatistics(dim, nb, scn.cov_forgetting) for _ in range(nrx)]
     elif alg == "cmv-exact":
-        stats = [CovarianceEstimate(dim, forgetting=scn.cov_forgetting) for _ in range(nrx)]
+        stats = [SequentialCovariance(dim, scn.cov_forgetting) for _ in range(nrx)]
         zero = np.zeros(dim, complex)
     refresh = per_block * scn.filter_refresh
     outputs = np.empty((nsteps, nrx, nb), dtype=complex)

@@ -12,7 +12,6 @@ from stcdma.channel_estimation import (
     PsiEstimate,
     canonical_phase,
     estimate_channel_exact,
-    scaled_inverse_power,
     sg_track,
 )
 from stcdma import harness
@@ -23,6 +22,7 @@ from stcdma.oracles import (
     min_eigenvector,
     noise_subspace_projector,
     reference_received_blocks,
+    scaled_inverse_power,
 )
 from stcdma.receivers import (
     constrained_quadratic_filter,
@@ -82,7 +82,7 @@ def test_criterion_02_constraints_hold_through_adaptation():
     ch.taps[:, :, :] = ch.taps[:, :, :1]
     streams = [SymbolStream(symbols=random_qpsk(2 * steps, rng)) for _ in range(users)]
     y = simulate_packet(streams, sp, ch, Scenario().noise_variance(), rng)
-    cm = user_constraint_matrices(sp, 0, lp)
+    c, cbar = user_constraint_matrices(sp, 0, lp)
     h = ch.stacked[:, 0]
     nu = 1.4
     scn = Scenario(
@@ -91,16 +91,16 @@ def test_criterion_02_constraints_hold_through_adaptation():
     ).validate()
     truth = np.zeros(2 * steps, dtype=complex)
     ests = [np.repeat(h[:, None], steps, axis=1)]
-    _, diverged, (ws,) = harness._adapt("ccm-sg", scn, [y], ests, truth, (cm.odd, cm.even))
+    _, diverged, (ws,) = harness._adapt("ccm-sg", scn, [y], ests, truth, (c, cbar))
     assert not diverged
     resid = max(
-        float(np.linalg.norm(cm.odd.conj().T @ ws[0] - nu * h)),
-        float(np.linalg.norm(cm.even.conj().T @ ws[1] - nu * np.conj(h))),
+        float(np.linalg.norm(c.conj().T @ ws[0] - nu * h)),
+        float(np.linalg.norm(cbar.conj().T @ ws[1] - nu * np.conj(h))),
     )
-    pi = constraint_projector(cm.odd)
+    pi = constraint_projector(c)
     algebra = max(
         float(np.linalg.norm(pi @ pi - pi)),
-        float(np.linalg.norm(pi @ cm.odd)),
+        float(np.linalg.norm(pi @ c)),
     )
     ok = resid < 1e-8 and algebra < 1e-10
     assert _report(
@@ -169,11 +169,12 @@ def _recovery_instance(seed, sigma2):
     m2 = 2 * (gain + lp - 1)
     r = sigma2 * np.eye(m2, dtype=complex)
     for k in range(users):
-        cmk = user_constraint_matrices(sp, k, lp)
-        u = cmk.odd @ h
-        v = cmk.even @ np.conj(h)
+        ck, ckbar = user_constraint_matrices(sp, k, lp)
+        u = ck @ h
+        v = ckbar @ np.conj(h)
         r += 2.0 * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
-    return r, user_constraint_matrices(sp, 0, lp), h
+    c, _ = user_constraint_matrices(sp, 0, lp)
+    return r, c, h
 
 
 def test_criterion_05_blind_channel_recovery():
@@ -181,15 +182,15 @@ def test_criterion_05_blind_channel_recovery():
     mse_p1, mse_p2 = [], []
     sigma2_15db = Scenario(snr_db=15.0).noise_variance()
     for seed in range(20):
-        r0, cm, h = _recovery_instance(seed, 0.0)
-        est = estimate_channel_exact(r0, cm.odd, power=1)
+        r0, c, h = _recovery_instance(seed, 0.0)
+        est = estimate_channel_exact(r0, c, power=1)
         worst_clean = max(worst_clean, _mse(est, h))
-        r15, cm, h = _recovery_instance(seed, sigma2_15db)
+        r15, c, h = _recovery_instance(seed, sigma2_15db)
         mse_p1.append(
-            _mse(estimate_channel_exact(r15, cm.odd, power=1), h)
+            _mse(estimate_channel_exact(r15, c, power=1), h)
         )
         mse_p2.append(
-            _mse(estimate_channel_exact(r15, cm.odd, power=2), h)
+            _mse(estimate_channel_exact(r15, c, power=2), h)
         )
     avg1, avg2 = float(np.mean(mse_p1)), float(np.mean(mse_p2))
     ok = worst_clean < 1e-6 and avg2 <= avg1
@@ -302,19 +303,19 @@ def test_criterion_07_receiver_ordering_under_load_surge():
 def test_criterion_08_exact_receiver_meets_analytic_bound():
     gain = 8
     sp = random_spreading_set(1, gain, "zero-padded", 2, seed=11)
-    cm = user_constraint_matrices(sp, 0, 1)
+    c, cbar = user_constraint_matrices(sp, 0, 1)
     details = []
     ok = True
     for point, snr_db in enumerate((0.0, 4.0, 8.0)):
         snr = 10.0 ** (snr_db / 10.0)
         sigma2 = 2.0 / snr
         h = np.array([1.0, 1.0], dtype=complex)
-        u = cm.odd @ h
-        v = cm.even @ np.conj(h)
+        u = c @ h
+        v = cbar @ np.conj(h)
         r = 2.0 * (np.outer(u, u.conj()) + np.outer(v, v.conj())) + sigma2 * np.eye(len(u))
         zero = np.zeros(len(u), dtype=complex)
-        w = constrained_quadratic_filter(r, zero, cm.odd, h)
-        wbar = constrained_quadratic_filter(r, zero, cm.even, np.conj(h))
+        w = constrained_quadratic_filter(r, zero, c, h)
+        wbar = constrained_quadratic_filter(r, zero, cbar, np.conj(h))
         rng = np.random.default_rng(1080 + point)
         bits = 0
         errs = 0

@@ -10,11 +10,10 @@ from stcdma.channel_estimation import (
     align_phase,
     canonical_phase,
     estimate_channel_exact,
-    scaled_inverse_power,
     sg_track,
 )
 from stcdma.harness import channel_mse
-from stcdma.oracles import min_eigenvector, noise_subspace_projector
+from stcdma.oracles import min_eigenvector, noise_subspace_projector, scaled_inverse_power
 from stcdma.signal_model import (
     SymbolStream,
     random_multipath_channel,
@@ -22,6 +21,8 @@ from stcdma.signal_model import (
     simulate_packet,
 )
 from stcdma.spreading import random_spreading_set, user_constraint_matrices
+
+from adapt_reference import SequentialCovariance
 
 
 def _mse(est, ref):
@@ -39,20 +40,20 @@ def _planted_system(seed, gain=16, lp=3, users=3, sigma2=0.05, nblocks=None):
     m2 = 2 * (gain + lp - 1)
     r = sigma2 * np.eye(m2, dtype=complex)
     for k in range(users):
-        cmk = user_constraint_matrices(sp, k, lp)
-        u = cmk.odd @ h
-        v = cmk.even @ np.conj(h)
+        ck, ckbar = user_constraint_matrices(sp, k, lp)
+        u = ck @ h
+        v = ckbar @ np.conj(h)
         r += 2.0 * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
-    cm = user_constraint_matrices(sp, 0, lp)
-    return rng, sp, ch, h, r, cm
+    c, _ = user_constraint_matrices(sp, 0, lp)
+    return rng, sp, ch, h, r, c
 
 
 def test_exact_estimator_recovers_planted_channel():
     """With a tiny noise floor the inverse-power weighting all but removes the
     signal directions and the planted channel comes back almost exactly."""
     for power in (1, 2):
-        _, _, _, h, r, cm = _planted_system(0, sigma2=1e-4)
-        est = estimate_channel_exact(r, cm.odd, power=power, ridge=0.0)
+        _, _, _, h, r, c = _planted_system(0, sigma2=1e-4)
+        est = estimate_channel_exact(r, c, power=power, ridge=0.0)
         assert np.isclose(np.linalg.norm(est), 1.0)
         assert _mse(est, h) < 1e-6
 
@@ -60,9 +61,9 @@ def test_exact_estimator_recovers_planted_channel():
 def test_estimator_bias_shrinks_with_power():
     """At a moderate noise floor the finite-power estimate is biased and the
     bias decreases monotonically in the inverse power."""
-    _, _, _, h, r, cm = _planted_system(0, sigma2=0.05)
+    _, _, _, h, r, c = _planted_system(0, sigma2=0.05)
     mses = [
-        _mse(estimate_channel_exact(r, cm.odd, power=p, ridge=0.0), h)
+        _mse(estimate_channel_exact(r, c, power=p, ridge=0.0), h)
         for p in (1, 2, 4)
     ]
     assert mses[2] < mses[1] < mses[0]
@@ -164,12 +165,12 @@ def test_eigh_path_keeps_the_condition_floor(monkeypatch, ridge, diag):
 
 
 def test_noise_projector_annihilates_signatures():
-    _, sp, ch, h, r, cm = _planted_system(2, users=2)
+    _, sp, ch, h, r, c = _planted_system(2, users=2)
     proj = noise_subspace_projector(r, signal_dim=4)
     for k in range(2):
-        cmk = user_constraint_matrices(sp, k, 3)
-        assert np.linalg.norm(proj @ (cmk.odd @ h)) < 1e-8
-        assert np.linalg.norm(proj @ (cmk.even @ np.conj(h))) < 1e-8
+        ck, ckbar = user_constraint_matrices(sp, k, 3)
+        assert np.linalg.norm(proj @ (ck @ h)) < 1e-8
+        assert np.linalg.norm(proj @ (ckbar @ np.conj(h))) < 1e-8
 
 
 def test_canonical_phase_fixes_largest_entry():
@@ -223,7 +224,7 @@ def test_covariance_estimate_matches_loop():
     ys = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
     batch = CovarianceEstimate(dim=4, forgetting=0.97)
     batch.update_batch(ys)
-    loop = CovarianceEstimate(dim=4, forgetting=0.97)
+    loop = SequentialCovariance(4, 0.97)
     for i in range(30):
         loop.update(ys[:, i])
     assert np.max(np.abs(batch.matrix - loop.matrix)) < 1e-12
@@ -237,16 +238,16 @@ def test_covariance_estimate_matches_loop():
 def test_psi_recursion_tracks_min_eigenvector_direction():
     """On stationary data the decomposition-free recursion drives the channel
     iterate to the planted channel."""
-    rng, sp, ch, h, r, cm = _planted_system(7, sigma2=0.1)
+    rng, sp, ch, h, r, c = _planted_system(7, sigma2=0.1)
     streams = [
         SymbolStream(symbols=random_qpsk(6000, rng)) for _ in range(3)
     ]
     chs = random_multipath_channel(2, 3, 3000, 0.0, rng, fading="clarke")
     chs.taps[:, :, :] = ch.taps[:, :, :1]
     y = simulate_packet(streams, sp, chs, 0.1, rng)
-    psi = PsiEstimate.from_constraints(cm.odd, alpha=0.998, mu=1e-3)
+    psi = PsiEstimate.from_constraints(c, alpha=0.998, mu=1e-3)
     start = canonical_phase(np.ones(6, dtype=complex) / np.sqrt(6))
-    estimates, diverged = sg_track(psi, cm.odd, y[:, :3000], start)
+    estimates, diverged = sg_track(psi, c, y[:, :3000], start)
     assert not diverged
     assert _mse(estimates[:, -1], h) < 0.05
 
@@ -324,6 +325,6 @@ def test_exact_estimator_close_under_chip_spill():
     streams = [SymbolStream(symbols=random_qpsk(8000, rng)) for _ in range(3)]
     y = simulate_packet(streams, sp, ch, 0.05, rng, include_isi=True)
     r = (y @ y.conj().T) / y.shape[1]
-    cm = user_constraint_matrices(sp, 0, lp)
-    est = estimate_channel_exact(r, cm.odd, power=1)
+    c, _ = user_constraint_matrices(sp, 0, lp)
+    est = estimate_channel_exact(r, c, power=1)
     assert _mse(est, ch.stacked[:, 0]) < 0.05

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stcdma import channel_estimation, harness
-from stcdma.channel_estimation import CovarianceEstimate, PsiEstimate, align_phase, sg_track
+from stcdma.channel_estimation import PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
 from stcdma.receivers import constraint_projector
 from stcdma.harness import (
@@ -20,7 +20,7 @@ from stcdma.harness import (
 )
 from stcdma.scenario import ALGORITHMS, Scenario, parse_scenario_file
 
-from adapt_reference import reference_adapt
+from adapt_reference import SequentialCovariance, reference_adapt
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -469,7 +469,7 @@ def _reference_svd_trace(scn, c, y, true):
     update per column and a fresh estimate at every observation of a refresh
     block, each block keeping its last estimate."""
     per_block = y.shape[1] // scn.blocks
-    cov = CovarianceEstimate(c.shape[0], forgetting=scn.cov_forgetting)
+    cov = SequentialCovariance(c.shape[0], scn.cov_forgetting)
     trace = np.empty((c.shape[1], scn.blocks), dtype=complex)
     for t in range(y.shape[1]):
         b = t // per_block

@@ -92,27 +92,27 @@ def test_constrained_filter_matches_kkt():
         assert np.max(np.abs(w0 - oracle0)) < 1e-8
 
 
-def _exact_filters(moments, cm, h, nu, ridge=0.0):
+def _exact_filters(moments, cs, h, nu, ridge=0.0):
     """Both branches' closed-form filters: (C, nu h) and (Cbar, nu conj(h))."""
     return [
         constrained_quadratic_filter(r, d, c, nu * hb, ridge)
-        for (r, d), c, hb in zip(moments, (cm.odd, cm.even), (h, np.conj(h)))
+        for (r, d), c, hb in zip(moments, cs, (h, np.conj(h)))
     ]
 
 
-def _cmv_filters(r, cm, h, nu, ridge=0.0):
+def _cmv_filters(r, cs, h, nu, ridge=0.0):
     zero = np.zeros(r.shape[0], dtype=complex)
-    return _exact_filters([(r, zero)] * 2, cm, h, nu, ridge)
+    return _exact_filters([(r, zero)] * 2, cs, h, nu, ridge)
 
 
 def test_cmv_filter_is_linear_in_nu():
     rng = np.random.default_rng(5)
     sp = random_spreading_set(2, 16, "zero-padded", 2, seed=1)
-    cm = user_constraint_matrices(sp, 0, 3)
+    cs = user_constraint_matrices(sp, 0, 3)
     r = _random_covariance(rng, dim=2 * (16 + 3 - 1))
     h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    one = _cmv_filters(r, cm, h, nu=1.0)
-    two = _cmv_filters(r, cm, h, nu=2.0)
+    one = _cmv_filters(r, cs, h, nu=1.0)
+    two = _cmv_filters(r, cs, h, nu=2.0)
     assert np.max(np.abs(two[0] - 2.0 * one[0])) < 1e-9
     assert np.max(np.abs(two[1] - 2.0 * one[1])) < 1e-9
 
@@ -156,15 +156,15 @@ def _feasible_setup(seed, gain=16, lp=3):
     restorers, and a unit channel."""
     rng = np.random.default_rng(seed)
     sp = random_spreading_set(3, gain, "zero-padded", 2, seed=seed)
-    cm = user_constraint_matrices(sp, 0, lp)
-    projectors = [constraint_projector(c) for c in (cm.odd, cm.even)]
-    restorers = [constraint_restorer(c) for c in (cm.odd, cm.even)]
+    cs = user_constraint_matrices(sp, 0, lp)
+    projectors = [constraint_projector(c) for c in cs]
+    restorers = [constraint_restorer(c) for c in cs]
     h = rng.standard_normal(2 * lp) + 1j * rng.standard_normal(2 * lp)
     h /= np.linalg.norm(h)
-    return rng, cm, projectors, restorers, h
+    return rng, cs, projectors, restorers, h
 
 
-def _adapt_static(alg, cm, y, h, **scenario):
+def _adapt_static(alg, cs, y, h, **scenario):
     """harness._adapt on one receive antenna's two-antenna observations ``y``
     ((dim, blocks)) under the fixed channel ``h``; returns the outputs of the
     (blocks, branches) steps, whether they diverged, and the final filters."""
@@ -172,7 +172,7 @@ def _adapt_static(alg, cm, y, h, **scenario):
     scn = Scenario(gain=16, n_paths=3, packet_symbols=2 * blocks, ber_skip=0, **scenario).validate()
     ests = [np.repeat(h[:, None], blocks, axis=1)]
     outputs, diverged, filters = harness._adapt(
-        alg, scn, [y], ests, np.zeros(2 * blocks, dtype=complex), (cm.odd, cm.even)
+        alg, scn, [y], ests, np.zeros(2 * blocks, dtype=complex), cs
     )
     return outputs[:, 0], diverged, filters[0]
 
@@ -188,26 +188,26 @@ def _one_step(rule, cs, y, offsets, mu, normalize=False):
 
 
 def test_sg_steps_keep_constraints_exact():
-    rng, cm, projectors, restorers, h = _feasible_setup(8)
+    rng, cs, projectors, restorers, h = _feasible_setup(8)
     nu = 1.3
-    dim = cm.odd.shape[0]
+    dim = cs[0].shape[0]
     y = rng.standard_normal((dim, 50)) + 1j * rng.standard_normal((dim, 50))
-    _, diverged, ws = _adapt_static("ccm-sg", cm, y, h, nu=nu, step_ccm=1e-4)
+    _, diverged, ws = _adapt_static("ccm-sg", cs, y, h, nu=nu, step_ccm=1e-4)
     assert not diverged
     assert np.all(np.isfinite(ws[0]))
-    assert np.max(np.abs(cm.odd.conj().T @ ws[0] - nu * h)) < 1e-10
-    assert np.max(np.abs(cm.even.conj().T @ ws[1] - nu * np.conj(h))) < 1e-10
+    assert np.max(np.abs(cs[0].conj().T @ ws[0] - nu * h)) < 1e-10
+    assert np.max(np.abs(cs[1].conj().T @ ws[1] - nu * np.conj(h))) < 1e-10
     y = rng.standard_normal((dim, 50)) + 1j * rng.standard_normal((dim, 50))
-    _, _, ws2 = _adapt_static("cmv-sg", cm, y, h, nu=nu, step_cmv=1e-2, normalize_steps=True)
-    assert np.max(np.abs(cm.odd.conj().T @ ws2[0] - nu * h)) < 1e-10
+    _, _, ws2 = _adapt_static("cmv-sg", cs, y, h, nu=nu, step_cmv=1e-2, normalize_steps=True)
+    assert np.max(np.abs(cs[0].conj().T @ ws2[0] - nu * h)) < 1e-10
 
 
 # ``step`` is the per-step formula; the chunked steps reproduce its outputs
 # and filters over more than two chunks of observations.
 @pytest.mark.parametrize("step", [ccm_sg_step, cmv_sg_step])
 def test_sg_step_with_given_outputs_matches_recomputed(step):
-    rng, cm, projectors, restorers, h = _feasible_setup(12)
-    dim = cm.odd.shape[0]
+    rng, cs, projectors, restorers, h = _feasible_setup(12)
+    dim = cs[0].shape[0]
     n = 2 * harness._CHUNK + 22
     y = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     offsets = constraint_offsets(restorers, h, 1.2)
@@ -221,7 +221,7 @@ def test_sg_step_with_given_outputs_matches_recomputed(step):
         zs.append(z)
     alg = "ccm-sg" if step is ccm_sg_step else "cmv-sg"
     outputs, diverged, filters = _adapt_static(
-        alg, cm, y, h, nu=1.2, step_ccm=1e-2, step_cmv=1e-2, normalize_steps=True
+        alg, cs, y, h, nu=1.2, step_ccm=1e-2, step_cmv=1e-2, normalize_steps=True
     )
     assert not diverged
     assert np.max(np.abs(outputs - np.array(zs))) < 1e-12 * np.max(np.abs(zs))
@@ -251,32 +251,32 @@ def test_sg_step_on_one_branch_matches_its_formula(step):
 
 
 def test_constraint_offsets_per_column_match_single_channels():
-    rng, cm, _, restorers, h = _feasible_setup(13)
+    rng, cs, _, restorers, h = _feasible_setup(13)
     hs = rng.standard_normal((h.size, 5)) + 1j * rng.standard_normal((h.size, 5))
     block = constraint_offsets(restorers, hs, 1.4)
-    assert block.shape == (2, cm.odd.shape[0], 5)
+    assert block.shape == (2, cs[0].shape[0], 5)
     for k in range(5):
         one = constraint_offsets(restorers, hs[:, k], 1.4)
         assert np.max(np.abs(block[:, :, k] - one)) < 1e-13
-        assert np.max(np.abs(cm.odd.conj().T @ one[0] - 1.4 * hs[:, k])) < 1e-12
-        assert np.max(np.abs(cm.even.conj().T @ one[1] - 1.4 * np.conj(hs[:, k]))) < 1e-12
+        assert np.max(np.abs(cs[0].conj().T @ one[0] - 1.4 * hs[:, k])) < 1e-12
+        assert np.max(np.abs(cs[1].conj().T @ one[1] - 1.4 * np.conj(hs[:, k]))) < 1e-12
 
 
 def test_ccm_step_moves_along_projected_gradient():
-    rng, cm, projectors, restorers, h = _feasible_setup(9)
+    rng, cs, projectors, restorers, h = _feasible_setup(9)
     offsets = constraint_offsets(restorers, h, 1.0)
-    dim = cm.odd.shape[0]
+    dim = cs[0].shape[0]
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     z = np.vdot(offsets[0], y)
     mu = 1e-3
-    ws, _ = _one_step("ccm", (cm.odd, cm.even), y, offsets, mu)
+    ws, _ = _one_step("ccm", cs, y, offsets, mu)
     expected = offsets[0] - mu * projectors[0] @ ((abs(z) ** 2 - 1.0) * np.conj(z) * y)
     assert np.max(np.abs(ws[0] - expected)) < 1e-12
 
 
 def test_sg_gradients_match_central_difference():
-    rng, cm, _, _, h = _feasible_setup(10)
-    dim = cm.odd.shape[0]
+    rng, cs, _, _, h = _feasible_setup(10)
+    dim = cs[0].shape[0]
     y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -297,13 +297,13 @@ def test_sg_gradients_match_central_difference():
 
 
 def test_normalized_step_scales_by_input_power():
-    rng, cm, projectors, restorers, h = _feasible_setup(11)
-    dim = cm.odd.shape[0]
+    rng, cs, projectors, restorers, h = _feasible_setup(11)
+    dim = cs[0].shape[0]
     y = 10.0 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     offsets = constraint_offsets(restorers, h, 1.0)
     w0 = offsets[0]
-    raw, _ = _one_step("cmv", (cm.odd, cm.even), y, offsets, 1e-3, normalize=False)
-    norm, _ = _one_step("cmv", (cm.odd, cm.even), y, offsets, 1e-3, normalize=True)
+    raw, _ = _one_step("cmv", cs, y, offsets, 1e-3, normalize=False)
+    norm, _ = _one_step("cmv", cs, y, offsets, 1e-3, normalize=True)
     power = np.vdot(y, y).real
     raw_move = raw[0] - w0
     norm_move = norm[0] - w0
@@ -311,10 +311,10 @@ def test_normalized_step_scales_by_input_power():
 
 
 def test_min_norm_pair_matches_pinv():
-    rng, cm, _, restorers, h = _feasible_setup(12)
+    rng, cs, _, restorers, h = _feasible_setup(12)
     w, wbar = constraint_offsets(restorers, h, 1.7)
-    oracle_w = np.linalg.pinv(cm.odd.conj().T) @ (1.7 * h)
-    oracle_wbar = np.linalg.pinv(cm.even.conj().T) @ (1.7 * np.conj(h))
+    oracle_w = np.linalg.pinv(cs[0].conj().T) @ (1.7 * h)
+    oracle_wbar = np.linalg.pinv(cs[1].conj().T) @ (1.7 * np.conj(h))
     assert np.max(np.abs(w - oracle_w)) < 1e-10
     assert np.max(np.abs(wbar - oracle_wbar)) < 1e-10
 
@@ -377,17 +377,17 @@ def test_cmv_with_ensemble_covariance_separates_users():
     r = np.zeros((m2, m2), dtype=complex)
     sigs = []
     for k in range(users):
-        cmk = user_constraint_matrices(sp, k, lp)
-        u = amps[k] * (cmk.odd @ h)
-        v = amps[k] * (cmk.even @ np.conj(h))
+        c, cbar = user_constraint_matrices(sp, k, lp)
+        u = amps[k] * (c @ h)
+        v = amps[k] * (cbar @ np.conj(h))
         sigs.append((u, v))
         r += 2.0 * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
     streams = [
         SymbolStream(symbols=random_qpsk(80, rng), amplitude=amp) for amp in amps
     ]
     y = simulate_packet(streams, sp, ch, 0.0, rng)
-    cm = user_constraint_matrices(sp, 0, lp)
-    w, wbar = _cmv_filters(r, cm, h, nu=1.0, ridge=1e-10)
+    cs = user_constraint_matrices(sp, 0, lp)
+    w, wbar = _cmv_filters(r, cs, h, nu=1.0, ridge=1e-10)
     # interfering signatures and the same-user partner direction are nulled
     # (residual leakage is set by the tiny ridge, far below the O(1) gain)
     for u, v in sigs[1:]:
@@ -412,12 +412,12 @@ def test_ccm_exact_filter_separates_users_at_scale():
         for amp in (1.0, 2.0, 3.0)
     ]
     y = simulate_packet(streams, sp, ch, 0.0, rng)
-    cm = user_constraint_matrices(sp, 0, lp)
+    cs = user_constraint_matrices(sp, 0, lp)
     h = ch.stacked[:, 0]
     # One refresh at the end of the packet: the moments of every block under
     # the starting filters, the constraint offsets.
     _, diverged, (w, wbar) = _adapt_static(
-        "ccm-exact", cm, y, h, nu=1.0, ridge=1e-9, cov_forgetting=1.0, filter_refresh=nblocks
+        "ccm-exact", cs, y, h, nu=1.0, ridge=1e-9, cov_forgetting=1.0, filter_refresh=nblocks
     )
     assert not diverged
     z = np.stack((w.conj() @ y, wbar.conj() @ y), axis=1)

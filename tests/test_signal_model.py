@@ -100,8 +100,8 @@ def test_packet_single_user_flat_terms():
         b = streams[0].symbols
         h = ch.stacked[:, 0]
         if tx == 2:
-            cm = user_constraint_matrices(sp, 0, 1)
-            expected = np.outer(cm.odd @ h, b[0::2]) + np.outer(cm.even @ np.conj(h), b[1::2])
+            c, cbar = user_constraint_matrices(sp, 0, 1)
+            expected = np.outer(c @ h, b[0::2]) + np.outer(cbar @ np.conj(h), b[1::2])
         else:
             expected = np.outer(build_convolution_matrix(sp.code(0, 0), 1) @ h, b)
         assert np.allclose(y, expected, atol=1e-14), (tx, isi)

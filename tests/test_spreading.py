@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stcdma.spreading import (
     SIGN_FLIPPED,
     ZERO_PADDED,
-    build_constraint_matrices,
     build_convolution_matrix,
     random_spreading_set,
     user_constraint_matrices,
@@ -76,16 +75,16 @@ def test_convolution_matrix_columns_are_shifts(gain, n_paths):
 
 def test_constraint_matrix_shapes_match_window():
     sp = random_spreading_set(8, 32, ZERO_PADDED, seed=1)
-    cm = user_constraint_matrices(sp, 0, 6)
-    assert cm.odd.shape == (74, 12)
-    assert cm.even.shape == (74, 12)
+    c, cbar = user_constraint_matrices(sp, 0, 6)
+    assert c.shape == (74, 12)
+    assert cbar.shape == (74, 12)
 
 
 def test_constraint_cross_product_block_structure():
     sp = random_spreading_set(3, 16, ZERO_PADDED, seed=2)
     lp = 4
-    cm = user_constraint_matrices(sp, 1, lp)
-    cross = cm.odd.conj().T @ cm.even
+    c, cbar = user_constraint_matrices(sp, 1, lp)
+    cross = c.conj().T @ cbar
     assert np.allclose(cross[:lp, :lp], 0.0, atol=1e-14)
     assert np.allclose(cross[lp:, lp:], 0.0, atol=1e-14)
     # the off-diagonal blocks are antisymmetric partners
@@ -99,21 +98,14 @@ def test_paired_signatures_orthogonal_for_any_channel(seed):
     rng = np.random.default_rng(seed)
     sp = random_spreading_set(2, 8, ZERO_PADDED, seed=seed % 17)
     lp = 3
-    cm = user_constraint_matrices(sp, 0, lp)
+    c, cbar = user_constraint_matrices(sp, 0, lp)
     h = rng.normal(size=2 * lp) + 1j * rng.normal(size=2 * lp)
-    u = cm.odd @ h
-    v = cm.even @ np.conj(h)
+    u = c @ h
+    v = cbar @ np.conj(h)
     assert abs(np.vdot(u, v)) < 1e-12 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
-def test_build_constraint_matrices_rejects_mismatch():
-    c1 = np.zeros((10, 3))
-    c2 = np.zeros((9, 3))
-    with pytest.raises(ValueError):
-        build_constraint_matrices(c1, c2)
-
-
-def test_user_constraint_matrices_requires_two_antennas():
+def test_one_antenna_constraint_is_the_convolution_matrix():
     sp = random_spreading_set(2, 8, ZERO_PADDED, tx_antennas=1, seed=0)
-    with pytest.raises(ValueError):
-        user_constraint_matrices(sp, 0, 2)
+    (conv,) = user_constraint_matrices(sp, 1, 2)
+    assert np.array_equal(conv, build_convolution_matrix(sp.code(1, 0), 2))

@@ -15,14 +15,21 @@ A change that is meant to alter results regenerates the file with::
     PYTHONPATH=src python3 tests/test_trial_pin.py
 
 and says in CHANGES.md which digests moved and why.
+
+The same trials also pin the chunk sizes out of the results: a subset of
+them, run with every chunk size of the chunked paths set to 1, to 3 and to
+more than a packet, must make the same decisions and divergence flags as at
+the defaults, with filter outputs that agree to rounding.
 """
 
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from stcdma import channel_estimation, harness, receivers, signal_model
 from stcdma.harness import run_trial, trial_seed
 from stcdma.scenario import ALGORITHMS, Scenario
 
@@ -87,6 +94,60 @@ def test_trial_outputs_match_pinned_digest(name, tx, rx, combiner, estimator, no
 
 def test_pin_covers_every_case():
     assert sorted(_pinned()) == sorted(c[0] for c in CASES)
+
+
+# Every hard-coded chunk size but the fading generator's, which sets how
+# Clarke fading rounds its phases (see `fading.py`).
+CHUNK_KNOBS = (
+    (harness, "_CHUNK"),
+    (receivers, "_SUBSTITUTION_BLOCK"),
+    (channel_estimation, "_SG_CHUNK"),
+    (signal_model, "_SLOTS_PER_RUN"),
+)
+# Each estimator on each antenna count, one and two receive antennas and both
+# combiners among them.
+CHUNK_CASES = (
+    "1tx-1rx-genie", "1tx-2rx-mrc-svd", "1tx-1rx-sg", "2tx-2rx-egc-genie", "2tx-1rx-svd", "2tx-2rx-mrc-sg"
+)
+_DEFAULT_RUNS = {}
+
+
+def _recorded_trial(monkeypatch, name):
+    """Case `name`'s trial and every algorithm's (steps, rx, branches) filter
+    outputs."""
+    _, tx, rx, combiner, estimator, normalize = next(c for c in CASES if c[0] == name)
+    outputs = {}
+    adapt = harness._adapt
+
+    def recording(alg, *args):
+        result = adapt(alg, *args)
+        outputs[alg] = result[0]
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_adapt", recording)
+        scn = _scenario(tx, rx, combiner, estimator, normalize)
+        return run_trial(scn, trial_seed(scn.master_seed, tx, rx)), outputs
+
+
+@pytest.mark.parametrize("size", [1, 3, 1000])  # 1000: more than a packet's 300 symbols
+@pytest.mark.parametrize("name", CHUNK_CASES)
+def test_chunk_sizes_leave_decisions_unchanged(monkeypatch, name, size):
+    if name not in _DEFAULT_RUNS:
+        _DEFAULT_RUNS[name] = _recorded_trial(monkeypatch, name)
+    base, base_outputs = _DEFAULT_RUNS[name]
+    for module, attr in CHUNK_KNOBS:
+        monkeypatch.setattr(module, attr, size)
+    result, outputs = _recorded_trial(monkeypatch, name)
+    assert result.diverged == base.diverged
+    assert sorted(result.bit_errors) == sorted(base.bit_errors)
+    for alg, errors in base.bit_errors.items():
+        assert np.array_equal(result.bit_errors[alg], errors), alg
+    # One slot per synthesis run rounds the chips by another BLAS call, and
+    # the first svd refreshes, on a rank-deficient covariance, amplify that
+    # to about 4e-11.
+    for alg, ref in base_outputs.items():
+        assert np.max(np.abs(outputs[alg] - ref)) <= 1e-9 * np.max(np.abs(ref)), alg
 
 
 if __name__ == "__main__":
