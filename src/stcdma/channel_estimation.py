@@ -15,10 +15,10 @@ The harness refreshes the exact estimate once per block, from a covariance
 folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
 both antenna counts.  The stochastic steps are defined once per observation,
 so `PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
-with one transmit antenna, per block with two.  `sg_track` computes them 64
-observations at a time: one triangular solve gives the chunk's psi
-recursion and one cumulative sum every C^H psi, while the divergence check
-and the rules that skip a degenerate channel step still act per observation.
+with one transmit antenna, per block with two.  `sg_track` computes them a
+chunk at a time on the receivers' block LMS kernel, `receivers.sg_chunk` and
+`receivers.filter_norms2`, while its divergence check and the rules that skip
+a degenerate channel step still act per observation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError
+from .receivers import filter_norms2, sg_chunk
 
 __all__ = [
     "CovarianceEstimate",
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e6
-_SG_CHUNK = 64
 _COND_CAP = 1e12
 
 
@@ -180,7 +180,7 @@ class PsiEstimate:
 
 
 def sg_track(
-    psi: PsiEstimate, c: np.ndarray, ys: np.ndarray, start: np.ndarray
+    psi: PsiEstimate, c: np.ndarray, ys: np.ndarray, start: np.ndarray, chunk: int
 ) -> tuple[np.ndarray, bool]:
     """Track the channel over the observation columns of `ys` ((rows, n)).
 
@@ -193,70 +193,59 @@ def sg_track(
     ends at the state after the last observation, or at the start of the
     chunk in which a step diverged.
 
-    The recursion runs `_SG_CHUNK` observations at a time.  Within a chunk,
-    observation j reads the state psi_j and leaves psi_(j+1).  Scaling
-    w_j = y_j^H psi_j by a^-j gives u_j = w_j / a^j, with
+    The recursion runs `chunk` observations at a time on the receivers'
+    kernel, `receivers.sg_chunk` and `receivers.filter_norms2`.  Within a
+    chunk, observation j reads psi_j and leaves psi_(j+1), and
+    psi_j / a^j = psi_0 - (mu / a) sum_{s<j} y_s w_s / a^s is a ``"cmv"``
+    filter recursion with P = I and gain mu / a, one lane per column of psi:
+    one triangular solve gives every w_j / a^j, and every Omega_j, up to the
+    positive scale a^j that the channel step does not see, is one
+    cumulative sum of the outer products (C^H y_s) w_s / a^s.  Omega_0 =
+    C^H psi_0 and ||psi_0|| are computed exactly at every chunk start, which
+    caps the drift.  Two checks still act per observation:
 
-        u_j = y_j^H psi_0 - (mu / a) sum_{s<j} (y_j^H y_s) u_s,
-
-    so one unit lower triangular solve over the chunk's Gram matrix gives
-    every u.  It is solved reversed, as an upper triangular system, so
-    partial pivoting never swaps a row: the solve is plain substitution in
-    observation order, and rows after a diverged step cannot leak into
-    earlier ones.  Then psi_(j+1) / a^(j+1) = psi_0 - (mu / a) sum_{s<=j}
-    y_s u_s, so every Omega_j, up to that positive scale, which the channel
-    step does not see, is one cumulative sum of the outer products
-    (C^H y_s) u_s.  Omega_0 = C^H psi_0 and ||psi_0|| are computed exactly
-    at every chunk start, which caps the drift.  Two checks still act per
-    observation:
-
-    - step j diverges when ||psi_(j+1)|| is non-finite or above 1e6, from
-      ||psi_(j+1)||^2 = a^2 ||psi_j||^2 + (mu^2 ||y_j||^2 - 2 a mu) ||w_j||^2;
-      its column and every later one hold the last good estimate;
+    - step j diverges when ||psi_(j+1)|| is non-finite or above 1e6, the
+      lanes' norms summed and scaled by a^(2(j+1)); its column and every
+      later one hold the last good estimate;
     - a zero trace of Omega itself, or a vanishing or non-finite iterate,
       skips that channel step with a warning and keeps the estimate.
     """
     a = psi.alpha + psi.mu
-    rate = psi.mu / a
+    ch = c.conj().T
     h = np.asarray(start, dtype=complex)
     n = ys.shape[1]
-    out = np.empty((h.shape[0], n), dtype=complex)
+    out = np.empty((n, h.shape[0]), dtype=complex)
     eye = np.eye(h.shape[0])
-    for lo in range(0, n, _SG_CHUNK):
-        y = ys[:, lo : lo + _SG_CHUNK]
+    for lo in range(0, n, chunk):
+        y = ys[:, lo : lo + chunk]
         k = y.shape[1]
-        gram = y.conj().T @ y
-        # Past a diverged step the values may overflow; the norm test below
-        # stops there, so those rows are never used.
+        yh = y.conj().T
+        # A non-finite observation, or any value past a diverged step, may
+        # overflow; the norm test below stops there and never uses them.
         with np.errstate(over="ignore", invalid="ignore"):
-            lower = np.eye(k) + rate * np.tril(gram, -1)
-            u = np.linalg.solve(lower[::-1, ::-1], (y.conj().T @ psi.psi)[::-1])[::-1]
-            growth = (rate**2 * gram.diagonal().real - 2.0 * rate) * np.sum(np.abs(u) ** 2, axis=1)
-            norms2 = a ** (2.0 * np.arange(1, k + 1)) * (
-                np.vdot(psi.psi, psi.psi).real + np.cumsum(growth)
-            )
+            gram = (yh @ y)[None]
+            w, coefs = sg_chunk("cmv", gram, (yh @ psi.psi).T, psi.mu / a)
+            start2 = np.sum(psi.psi.real**2 + psi.psi.imag**2, axis=0)
+            norms2 = a ** (2.0 * np.arange(1, k + 1)) * filter_norms2(w, coefs, gram, 0.0, 0.0, start2).sum(axis=0)
         failed = np.flatnonzero(~(norms2 <= _DIVERGENCE_LIMIT**2))
         good = failed[0] if failed.size else k
-        omega0 = c.conj().T @ psi.psi
-        omegas = omega0[None] - rate * np.cumsum(
-            (c.conj().T @ y[:, :good]).T[:, :, None] * u[:good, None, :], axis=0
-        )
+        omegas = ch @ psi.psi - np.cumsum((ch @ y[:, :good]).T[:, :, None] * coefs.T[:good, None, :], axis=0)
         traces = np.trace(omegas, axis1=1, axis2=2)
         zero = np.abs(a ** np.arange(1.0, good + 1) * traces) < 1e-300
-        steps = eye - omegas / np.where(zero, 1.0, traces)[:, None, None]
-        for j in range(good):
-            if zero[j]:
+        steps = eye - omegas * (1.0 / np.where(zero, 1.0, traces))[:, None, None]
+        for j, (step, skip) in enumerate(zip(steps, zero.tolist()), lo):
+            if skip:
                 warnings.warn("zero-trace channel step skipped", RuntimeWarning, stacklevel=2)
             else:
-                g = steps[j] @ h
+                g = step.dot(h)  # cheaper per call than @ on one vector
                 norm = math.sqrt(np.vdot(g, g).real)
                 if 0.0 < norm < math.inf:
                     h = g / norm
                 else:
                     warnings.warn("degenerate channel step skipped", RuntimeWarning, stacklevel=2)
-            out[:, lo + j] = h
+            out[j] = h
         if good < k:
-            out[:, lo + good :] = h[:, None]
-            return out, True
-        psi.psi = a**k * (psi.psi - rate * (y @ u))
-    return out, False
+            out[lo + good :] = h
+            return out.T, True
+        psi.psi = a**k * (psi.psi - y @ coefs.T)
+    return out.T, False

@@ -11,26 +11,26 @@ ambiguity, consistent with the phase-aligned error metric.  The svd estimate
 refreshes once per block on both antenna counts, each refresh window folded
 into the covariance in one product.  The sg tracker steps once per
 observation column, so its rates are per symbol with one transmit antenna
-and per block with two; `sg_track` computes those steps 64 observations at a
-time, the psi recursion from one triangular solve and every C^H psi from one
-cumulative sum, while its divergence check and the skip rules of its channel
-step still act per observation.  One function adapts
-every receiver on both antenna counts: a receiver is a list of constrained
-branches, two per block with two transmit antennas and one per symbol with
-one, and each observation column is one step of every branch.  The steps
-are evaluated a chunk at a time, with the outputs of one at a time up to
-rounding: the sg receivers and trained LMS 64 observations at a time, from
-one Gram matrix per chunk and branch, and the exact receivers once per
-refresh window.  The filter-norm check still acts per step, from a scalar
-recursion.  Adapting only records the branches' filter outputs; combining,
-detection and bit-error scoring then run once per packet on the recording.
-Work that does not depend on the adapting filter is done ahead of it, for
-the whole packet: the genie channel, and for the sg receivers every
-observation's constraint coordinates, offset term and step size, each a few
-numbers per observation.  The (dim, k) products stay per chunk, because
-memory binds: one packet's observations take 3.3 MB at gain 32 and 6000
-symbols, so running a point's trials in lockstep would hold that many
-packets at once.
+and per block with two; `sg_track` computes those steps `_CHUNK`
+observations at a time on the receivers' kernel, `sg_chunk` and
+`filter_norms2`, while its divergence check and the skip rules of its
+channel step still act per observation.  One function adapts every receiver
+on both antenna counts: a receiver is a list of constrained branches, two
+per block with two transmit antennas and one per symbol with one, and each
+observation column is one step of every branch.  The steps are evaluated a
+chunk at a time, with the outputs of one at a time up to rounding: the sg
+receivers and trained LMS `_CHUNK` (64) observations at a time, from one
+Gram matrix per chunk and branch (one shared by trained LMS's branches), and
+the exact receivers once per refresh window.  The filter-norm check still
+acts per step, from a scalar recursion.  Adapting only records the branches'
+filter outputs; combining, detection and bit-error scoring then run once per
+packet on the recording.  Work that does not depend on the adapting filter
+is done ahead of it, for the whole packet: the genie channel, and for the sg
+receivers every observation's constraint coordinates, offset term and step
+size, each a few numbers per observation.  The (dim, k) products stay per
+chunk, because memory binds: one packet's observations take 3.3 MB at gain
+32 and 6000 symbols, so running a point's trials in lockstep would hold that
+many packets at once.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def _track_sg(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
     per_block = y.shape[1] // scn.blocks
     dim = c.shape[1]
     psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
-    estimates, diverged = sg_track(psi, c, y, np.ones(dim, dtype=complex) / np.sqrt(dim))
+    estimates, diverged = sg_track(psi, c, y, np.ones(dim, dtype=complex) / np.sqrt(dim), _CHUNK)
     return align_phase(estimates[:, per_block - 1 :: per_block], true), diverged
 
 
@@ -281,20 +281,6 @@ def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.
             energies = 0.99 * energies + 0.01 * p
         z = np.einsum("sm,smk->sk", gains, outputs)
     return _bit_errors(detect(z), truth.reshape(z.shape)).ravel()
-
-
-def _exact_filters(rs, ds, cs, h, scn):
-    """Every branch's closed-form filter from its moments (R_b, d_b), on
-    C_b^H w = nu H_b; raises ``ArithmeticError`` on a failed solve or a
-    filter norm at or above the limit (a NaN norm fails the comparison by
-    itself)."""
-    ws = np.stack([
-        constrained_quadratic_filter(r, d, c, scn.nu * hb, scn.ridge)
-        for r, d, c, hb in zip(rs, ds, cs, branch_channels(h))
-    ])
-    if not np.all(np.sum(ws.real**2 + ws.imag**2, axis=1) < _FILTER_LIMIT**2):
-        raise ArithmeticError("filter norm out of bounds")
-    return ws
 
 
 def _adapt(alg, scn, ys, ests, truth, cs):
@@ -414,17 +400,18 @@ def _adapt_exact(alg, scn, ys, ests, cs):
     observations then fold into both receivers' moments R_b = S_b / weight,
     d_b = T_b / weight in one product, S_b += Y diag(lambda^age m_b) Y^H.
     For ccm-exact m_b = |z_b|^2 and T_b += Y (lambda^age conj(z_b)); for
-    cmv-exact m_b = 1 and T_b = 0, and its branches share one S.  A
-    packet's last, incomplete window has no refresh.
+    cmv-exact m_b = 1 and T_b = 0, and its branches share one S, factored
+    once per refresh.  A packet's last, incomplete window has no refresh.
     """
     nrx, nsteps, nb = len(ys), ys[0].shape[1], len(cs)
     per_block = nsteps // scn.blocks
     dim = cs[0].shape[0]
     lam = scn.cov_forgetting
     ccm = alg == "ccm-exact"
+    cstack = np.stack(cs)
     restorers = [constraint_restorer(c) for c in cs]
     ws = [constraint_offsets(restorers, est[:, 0], scn.nu) for est in ests]
-    s = np.zeros((nrx, nb if ccm else 1, dim, dim), dtype=complex)
+    s = np.zeros((nrx, nb, dim, dim) if ccm else (nrx, dim, dim), dtype=complex)
     t = np.zeros((nrx, nb, dim), dtype=complex)
     weight = 0.0
     refresh = per_block * scn.filter_refresh
@@ -440,19 +427,22 @@ def _adapt_exact(alg, scn, ys, ests, cs):
         ages = lam ** np.arange(hi - lo - 1, -1, -1, dtype=float)
         weight = lam ** (hi - lo) * weight + ages.sum()
         scale = max(weight, 1.0)
-        h = [est[:, (hi - 1) // per_block] for est in ests]
-        for m, (y, z) in enumerate(zip(ys, zs)):
+        for m, (y, z, est) in enumerate(zip(ys, zs, ests)):
             y = y[:, lo:hi]
-            moduli = z.real**2 + z.imag**2 if ccm else np.ones((1, hi - lo))
+            moduli = z.real**2 + z.imag**2 if ccm else 1.0
+            s[m] = lam ** (hi - lo) * s[m] + (y * (ages * moduli)[..., None, :]) @ y.conj().T
+            if ccm:
+                t[m] = lam ** (hi - lo) * t[m] + (y @ (ages * np.conj(z)).T).T
+            targets = scn.nu * np.stack(branch_channels(est[:, (hi - 1) // per_block])[:nb])
             try:
-                s[m] = lam ** (hi - lo) * s[m] + (y * (ages * moduli)[:, None, :]) @ y.conj().T
-                if ccm:
-                    t[m] = lam ** (hi - lo) * t[m] + (y @ (ages * np.conj(z)).T).T
-                rs = np.broadcast_to(s[m] / scale, (nb, dim, dim))
-                ws[m] = _exact_filters(rs, t[m] / scale, cs, h[m], scn)
-            except (np.linalg.LinAlgError, ArithmeticError):
+                w = constrained_quadratic_filter(s[m] / scale, t[m] / scale, cstack, targets, scn.ridge)
+                # A NaN norm fails the comparison by itself.
+                if not np.all(np.sum(w.real**2 + w.imag**2, axis=1) < _FILTER_LIMIT**2):
+                    raise ArithmeticError("filter norm out of bounds")
+            except ArithmeticError:  # also ConditioningError from a failed solve
                 diverged = True
                 break
+            ws[m] = w
     return outputs, diverged, np.stack(ws)
 
 

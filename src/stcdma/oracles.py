@@ -3,7 +3,8 @@
 Nothing here shares code with the production paths: the received-signal
 reference walks the transmission chip by chip, the constrained minimizer is
 solved through its stationarity system, eigenvector references use a full
-eigendecomposition, and the inverse-power stand-in for the noise-subspace
+eigendecomposition, the constraint projector comes from a singular value
+decomposition, and the inverse-power stand-in for the noise-subspace
 projector is an explicit matrix inverse.  These run in the test suite and in
 the CLI selftest.
 """
@@ -19,6 +20,7 @@ from .spreading import SpreadingSet
 __all__ = [
     "reference_received_blocks",
     "kkt_constrained_minimizer",
+    "constraint_projector",
     "central_difference",
     "min_eigenvector",
     "noise_subspace_projector",
@@ -96,6 +98,14 @@ def kkt_constrained_minimizer(
     rhs = np.concatenate([d, target]).astype(complex)
     sol = np.linalg.solve(kkt, rhs)
     return sol[:dim]
+
+
+def constraint_projector(c: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the null space of C^H, I - U U^H, with U
+    the left singular vectors of C's nonzero singular values."""
+    u, sv, _ = np.linalg.svd(c, full_matrices=False)
+    u = u[:, sv > sv[0] * 1e-12]
+    return np.eye(c.shape[0]) - u @ u.conj().T
 
 
 def central_difference(f, x: np.ndarray, direction: np.ndarray, eps: float) -> float:

@@ -20,7 +20,8 @@ every step regardless of the gradient noise.  `sg_chunk` evaluates a chunk of
 such steps at once, from the Gram matrix of the chunk's projected
 observations, in the block form of Benesty and Duhamel's fast exact LMS
 (IEEE Trans. Signal Process. 1992): the outputs are those of the steps taken
-one at a time, up to rounding.
+one at a time, up to rounding; `filter_norms2` gives every step's filter norm.
+The sg channel tracker, `channel_estimation.sg_track`, runs on both as well.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "detect",
     "CombinerGains",
     "combine",
-    "constraint_projector",
     "constraint_restorer",
     "constrained_quadratic_filter",
 ]
@@ -49,24 +49,15 @@ _COND_LIMIT = 1e12
 _SUBSTITUTION_BLOCK = 8
 
 
-def _gram_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (C^H C) x = rhs, rejecting rank-deficient constraint sets."""
+def constraint_restorer(c: np.ndarray) -> np.ndarray:
+    """C (C^H C)^-1, mapping a constraint target t to the minimum-norm w with
+    C^H w = t; a rank-deficient or non-finite C raises ``SingularConstraintError``."""
     gram = c.conj().T @ c
     if not np.all(np.isfinite(gram)):
         raise SingularConstraintError("constraint matrix contains non-finite entries")
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise SingularConstraintError("constraint Gram matrix is rank deficient")
-    return np.linalg.solve(gram, rhs)
-
-
-def constraint_projector(c: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the null space of C^H."""
-    return np.eye(c.shape[0]) - c @ _gram_solve(c, c.conj().T)
-
-
-def constraint_restorer(c: np.ndarray) -> np.ndarray:
-    """Matrix mapping a constraint target t to the minimum-norm w with C^H w = t."""
-    return c @ _gram_solve(c, np.eye(c.shape[1], dtype=complex))
+    return c @ np.linalg.solve(gram, np.eye(c.shape[1], dtype=complex))
 
 
 def branch_channels(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,22 +84,31 @@ def constrained_quadratic_filter(
     """Minimizer of w^H R w - 2 Re(d^H w) subject to C^H w = target.
 
     `ridge` is added to R's diagonal before inversion so sample moments that
-    are singular (for example noise-free data) stay solvable.
+    are singular (for example noise-free data) stay solvable.  Branches may
+    stack on a leading axis of ``d`` (dim,), ``c`` (dim, ncon) and ``target``
+    (ncon,).  Their R is then one per branch, (branches, dim, dim), or a
+    shared (dim, dim), factored once with every branch's columns as
+    right-hand sides.
     """
-    rr = r + ridge * np.eye(r.shape[0]) if ridge else r
+    rr = r + ridge * np.eye(r.shape[-1]) if ridge else r
     if not np.all(np.isfinite(rr)):
         raise ConditioningError("covariance contains non-finite entries")
+    cols = np.concatenate([d[..., None], c], axis=-1)
+    ch = np.swapaxes(c.conj(), -1, -2)
     try:
-        ri_dc = np.linalg.solve(rr, np.column_stack([d, c]))
+        if rr.ndim == 2:
+            side = cols.swapaxes(0, -2)  # (dim, [branches,] 1 + ncon)
+            ri_dc = np.linalg.solve(rr, side.reshape(len(rr), -1)).reshape(side.shape).swapaxes(0, -2)
+        else:
+            ri_dc = np.linalg.solve(rr, cols)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance solve failed: {exc}") from exc
-    ri_d, ri_c = ri_dc[:, 0], ri_dc[:, 1:]
-    gram = c.conj().T @ ri_c
+    ri_d, ri_c = ri_dc[..., :1], ri_dc[..., 1:]
     try:
-        lam = np.linalg.solve(gram, c.conj().T @ ri_d - target)
+        lam = np.linalg.solve(ch @ ri_c, ch @ ri_d - target[..., None])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"reduced Gram solve failed: {exc}") from exc
-    return ri_d - ri_c @ lam
+    return (ri_d - ri_c @ lam)[..., 0]
 
 
 def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
@@ -125,7 +125,7 @@ def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
 
     where ``rhs`` (branches, k) holds y_t^H (o_(t-1) + v_0) and ``gram``
     ((branches or 1, k, k)) holds y_t^H P y_s.  The rules, with step sizes
-    ``gains`` g_t ((k,)):
+    ``gains`` g_t ((k,) or one for every step):
 
     - ``"cmv"``: c_t = g_t q_t, the output-power gradient;
     - ``"ccm"``: c_t = g_t (|q_t|^2 - 1) q_t, a quarter of the modulus-cost
@@ -133,42 +133,49 @@ def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
     - ``"lms"``: c_t = g_t (q_t - targets_t), towards the conjugated training
       symbols ``targets`` (branches, k), with P = I and no offset.
 
-    The linear rules are one unit lower triangular solve per branch for
-    u = q - targets.  ``"ccm"`` is a forward substitution of scalar steps,
-    `_SUBSTITUTION_BLOCK` at a time.  Returns q and c, (branches, k) each.
+    The linear rules are one unit lower triangular solve for u = q - targets,
+    with every branch as a right-hand side of a ``gram`` they share.
+    ``"ccm"`` is a forward substitution of scalar steps, `_SUBSTITUTION_BLOCK`
+    at a time.  Returns q and c, (branches, k) each.
     """
     if rule == "ccm":
         return _modulus_substitution(gram, rhs, gains)
-    u = _unit_lower_solve(np.tril(gram, -1) * gains, rhs - targets)
+    k = rhs.shape[-1]
+    unit = np.tril(gram, -1) * gains
+    unit.reshape(len(unit), -1)[:, :: k + 1] = 1.0
+    u = _unit_lower_solve(unit, rhs - targets)
     return u + targets, gains * u
 
 
-def _unit_lower_solve(lower, rhs):
-    """x with (I + lower) x = rhs, for strictly lower triangular ``lower``
-    ((lanes or 1, k, k)) and ``rhs`` (lanes, k).
+def _unit_lower_solve(unit, rhs):
+    """x with unit x = rhs, for unit lower triangular ``unit`` ((lanes or 1,
+    k, k)) and ``rhs`` (lanes, k); one ``unit`` for every lane is factored
+    once, with the lanes as right-hand sides.
 
     The system is solved reversed, as an upper triangular one, so partial
     pivoting never swaps a row and the solve is plain substitution in step
-    order: no row reads a later one.  A non-finite entry would still spread
-    through the factorization, so a lane whose row n is the first with one
-    is solved over its first n rows only; x_n comes from those rows, and the
-    rows after it are NaN.  A non-finite observation fails its own step in
-    the caller's norm check.
+    order: no row reads a later one.  A non-finite entry can still spread
+    through the factorization to earlier rows, so when x is not all finite,
+    a lane whose row n is the first with a non-finite entry is solved again
+    over its first n rows; x_n comes from those rows, and the rows after it
+    are NaN.  A non-finite observation fails its own step in the caller's
+    norm check.
     """
-    k = rhs.shape[-1]
-    eye = np.eye(k)
-    finite = np.isfinite(lower).all(axis=-1) & np.isfinite(rhs)
-    if finite.all():
-        flipped = (eye + lower)[..., ::-1, ::-1]
-        return np.linalg.solve(flipped, rhs[..., ::-1, None])[..., ::-1, 0]
-    lower = np.broadcast_to(lower, rhs.shape + (k,))
-    x = np.full(rhs.shape, np.nan, dtype=complex)
-    for lane, good in enumerate(finite):
-        n = int(np.argmin(good)) if not good.all() else k
-        if n:
-            x[lane, :n] = _unit_lower_solve(lower[lane, :n, :n], rhs[lane, :n])
-        if n < k:
-            x[lane, n] = rhs[lane, n] - lower[lane, n, :n] @ x[lane, :n]
+    flipped = unit[:, ::-1, ::-1]
+    if len(unit) == 1:
+        x = np.linalg.solve(flipped[0], rhs[:, ::-1].T)[::-1].T
+    else:
+        x = np.linalg.solve(flipped, rhs[:, ::-1, None])[:, ::-1, 0]
+    if np.isfinite(x.sum()):
+        return x
+    for lane, r in enumerate(rhs):
+        m = unit[lane % len(unit)]
+        bad = np.flatnonzero(~(np.isfinite(m).all(axis=-1) & np.isfinite(r)))
+        if bad.size:
+            n = bad[0]
+            x[lane, :n] = _unit_lower_solve(m[None, :n, :n], r[None, :n])[0]
+            x[lane, n] = r[n] - m[n, :n] @ x[lane, :n]
+            x[lane, n + 1 :] = np.nan
     return x
 
 

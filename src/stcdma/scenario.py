@@ -9,6 +9,7 @@ at 15 dB, six-tap multipath upper bound, packets of 1500 symbols.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,6 +74,9 @@ class Scenario:
         def bad(key, msg):
             raise ScenarioError(msg, key=key)
 
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                bad(f.name, f"must be finite, got {getattr(self, f.name)}")
         if self.users < 1:
             bad("users", "at least one user is required")
         if self.extra_users < 0:

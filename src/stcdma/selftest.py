@@ -13,16 +13,13 @@ import numpy as np
 
 from .oracles import (
     central_difference,
+    constraint_projector,
     kkt_constrained_minimizer,
     noise_subspace_projector,
     reference_received_blocks,
     scaled_inverse_power,
 )
-from .receivers import (
-    constrained_quadratic_filter,
-    constraint_projector,
-    constraint_restorer,
-)
+from .receivers import constrained_quadratic_filter, constraint_restorer
 from .signal_model import SymbolStream, random_multipath_channel, random_qpsk, simulate_packet
 from .spreading import random_spreading_set
 

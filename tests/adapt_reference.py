@@ -15,9 +15,9 @@ from stcdma.receivers import (
     branch_channels,
     constrained_quadratic_filter,
     constraint_offsets,
-    constraint_projector,
     constraint_restorer,
 )
+from stcdma.oracles import constraint_projector
 
 FILTER_LIMIT = 1e6
 

@@ -106,6 +106,19 @@ def test_negative_seed_keys_exit_one_before_any_trial(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got -1")
 
 
+@pytest.mark.parametrize("key", ["snr_db", "doppler"])
+def test_nonfinite_float_key_exits_one_before_any_trial(tmp_path, monkeypatch, capsys, key):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran with a non-finite setting")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    path = tmp_path / "nan.cfg"
+    kept = [line for line in FAST_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+    path.write_text("\n".join(kept + [f"{key} = nan"]) + "\n", encoding="utf-8")
+    assert main(["ber-vs-symbols", "--config", str(path), "--runs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be finite, got nan")
+
+
 def test_snr_sweep_writes_schema_and_summary(config_path, tmp_path, capsys):
     out = tmp_path / "ber.csv"
     code = main(

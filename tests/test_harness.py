@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from stcdma import channel_estimation, harness
+from stcdma import harness
 from stcdma.channel_estimation import PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
-from stcdma.receivers import constraint_projector
+from stcdma.oracles import constraint_projector
 from stcdma.harness import (
     channel_mse,
     half_width,
@@ -600,7 +600,7 @@ def _sg_case(tx, forgetting, step, seed):
     c, y, true = _synthetic_packet(3 - tx, scn.blocks, seed=seed)
     start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
     psi = PsiEstimate.from_constraints(c, alpha=forgetting, mu=step)
-    estimates, diverged = sg_track(psi, c, y, start)
+    estimates, diverged = sg_track(psi, c, y, start, harness._CHUNK)
     reference, failed = _reference_sg_estimates(c, y, forgetting, step)
     return scn, c, y, true, estimates, diverged, reference, failed
 
@@ -610,8 +610,8 @@ def _sg_case(tx, forgetting, step, seed):
 @pytest.mark.parametrize("tx", [1, 2])
 def test_chunked_sg_tracker_matches_per_observation_reference(tx, forgetting, step):
     scn, c, y, true, estimates, diverged, reference, failed = _sg_case(tx, forgetting, step, seed=11)
-    assert y.shape[1] % channel_estimation._SG_CHUNK != 0
-    assert y.shape[1] > 2 * channel_estimation._SG_CHUNK
+    assert y.shape[1] % harness._CHUNK != 0
+    assert y.shape[1] > 2 * harness._CHUNK
     assert failed is None and not diverged
     assert np.max(np.abs(estimates - reference)) < 1e-12
     # The harness keeps each block's last estimate, phase-aligned.
@@ -642,6 +642,25 @@ def test_diverging_sg_tracker_holds_the_reference_estimate(tx, forgetting, step,
     held = estimates[:, failing - 1]
     assert np.array_equal(estimates[:, failing:], np.repeat(held[:, None], y.shape[1] - failing, axis=1))
     assert not np.allclose(held, estimates[:, failing - 2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("column", [70, 127], ids=["mid-chunk", "chunk-last"])
+@pytest.mark.parametrize("tx", [1, 2])
+def test_nonfinite_observation_stops_the_sg_tracker_at_its_own_step(tx, column, value):
+    """A NaN or inf entry in one observation fails that observation's step,
+    not its chunk's first: the columns before it keep their estimates."""
+    scn = _tiny_scenario(tx_antennas=tx, channel_estimator="sg", packet_symbols=300)
+    c, y, _ = _synthetic_packet(3 - tx, scn.blocks, seed=11)
+    y[3, column] = value
+    start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
+    psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
+    estimates, diverged = sg_track(psi, c, y, start, harness._CHUNK)
+    with np.errstate(invalid="ignore"):
+        reference, failed = _reference_sg_estimates(c, y, scn.psi_forgetting, scn.step_channel)
+    assert failed == column
+    assert diverged
+    assert np.max(np.abs(estimates - reference)) < 1e-12
 
 
 def test_smooth_series_matches_loop():

@@ -7,13 +7,12 @@ import scipy.linalg
 
 from stcdma import harness
 from stcdma.errors import SingularConstraintError
-from stcdma.oracles import central_difference, kkt_constrained_minimizer
+from stcdma.oracles import central_difference, constraint_projector, kkt_constrained_minimizer
 from stcdma.receivers import (
     CombinerGains,
     combine,
     constrained_quadratic_filter,
     constraint_offsets,
-    constraint_projector,
     constraint_restorer,
     detect,
     sg_chunk,
@@ -74,7 +73,7 @@ def test_rank_deficient_constraints_rejected():
     c = _random_constraints(rng)
     c[:, 1] = c[:, 0]
     with pytest.raises(SingularConstraintError):
-        constraint_projector(c)
+        constraint_restorer(c)
 
 
 def test_constrained_filter_matches_kkt():
@@ -90,6 +89,22 @@ def test_constrained_filter_matches_kkt():
         w0 = constrained_quadratic_filter(r, np.zeros(12, complex), c, t)
         oracle0 = kkt_constrained_minimizer(r, np.zeros(12, complex), c, t)
         assert np.max(np.abs(w0 - oracle0)) < 1e-8
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-R", "per-branch-R"])
+def test_branch_batched_filter_matches_one_call_per_branch(shared):
+    """Branches stacked on a leading axis give each branch's own filter,
+    with one R for all of them or one R each."""
+    rng = np.random.default_rng(7)
+    rs = [_random_covariance(rng)] * 2 if shared else [_random_covariance(rng) for _ in range(2)]
+    ds = rng.standard_normal((2, 12)) + 1j * rng.standard_normal((2, 12))
+    cs = np.stack([_random_constraints(rng) for _ in range(2)])
+    ts = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    ws = constrained_quadratic_filter(rs[0] if shared else np.stack(rs), ds, cs, ts, ridge=1e-3)
+    assert ws.shape == (2, 12)
+    for w, r, d, c, t in zip(ws, rs, ds, cs, ts):
+        one = constrained_quadratic_filter(r, d, c, t, ridge=1e-3)
+        assert np.max(np.abs(w - one)) < 1e-12 * np.max(np.abs(one))
 
 
 def _exact_filters(moments, cs, h, nu, ridge=0.0):

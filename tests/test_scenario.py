@@ -125,6 +125,18 @@ def test_bad_value_types_report_key():
         ("extra_users", -1),
         ("master_seed", -1),
         ("code_seed", -1),
+        ("snr_db", float("nan")),
+        ("snr_db", float("inf")),
+        ("snr_db", float("-inf")),
+        ("doppler", float("nan")),
+        ("doppler", float("inf")),
+        ("amplitude", float("inf")),
+        ("power_sigma_db", float("nan")),
+        ("power_sigma_db_extra", float("-inf")),
+        ("nu", float("nan")),
+        ("step_channel", float("inf")),
+        ("ridge", float("inf")),
+        ("psi_forgetting", float("nan")),
     ],
 )
 def test_validate_rejects_and_names_field(field, value):

@@ -29,7 +29,7 @@ import os
 import numpy as np
 import pytest
 
-from stcdma import channel_estimation, harness, receivers, signal_model
+from stcdma import harness, receivers, signal_model
 from stcdma.harness import run_trial, trial_seed
 from stcdma.scenario import ALGORITHMS, Scenario
 
@@ -101,7 +101,6 @@ def test_pin_covers_every_case():
 CHUNK_KNOBS = (
     (harness, "_CHUNK"),
     (receivers, "_SUBSTITUTION_BLOCK"),
-    (channel_estimation, "_SG_CHUNK"),
     (signal_model, "_SLOTS_PER_RUN"),
 )
 # Each estimator on each antenna count, one and two receive antennas and both
