@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError
-from .receivers import filter_norms2, sg_chunk
+from . import receivers
 
 __all__ = [
     "CovarianceEstimate",
@@ -180,7 +180,7 @@ class PsiEstimate:
 
 
 def sg_track(
-    psi: PsiEstimate, c: np.ndarray, ys: np.ndarray, start: np.ndarray, chunk: int
+    psi: PsiEstimate, c: np.ndarray, ys: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """Track the channel over the observation columns of `ys` ((rows, n)).
 
@@ -193,8 +193,8 @@ def sg_track(
     ends at the state after the last observation, or at the start of the
     chunk in which a step diverged.
 
-    The recursion runs `chunk` observations at a time on the receivers'
-    kernel, `receivers.sg_chunk` and `receivers.filter_norms2`.  Within a
+    The recursion runs `receivers._CHUNK` observations at a time on
+    `receivers.sg_chunk` and `receivers.filter_norms2`.  Within a
     chunk, observation j reads psi_j and leaves psi_(j+1), and
     psi_j / a^j = psi_0 - (mu / a) sum_{s<j} y_s w_s / a^s is a ``"cmv"``
     filter recursion with P = I and gain mu / a, one lane per column of psi:
@@ -216,17 +216,17 @@ def sg_track(
     n = ys.shape[1]
     out = np.empty((n, h.shape[0]), dtype=complex)
     eye = np.eye(h.shape[0])
-    for lo in range(0, n, chunk):
-        y = ys[:, lo : lo + chunk]
+    for lo in range(0, n, receivers._CHUNK):
+        y = ys[:, lo : lo + receivers._CHUNK]
         k = y.shape[1]
         yh = y.conj().T
         # A non-finite observation, or any value past a diverged step, may
         # overflow; the norm test below stops there and never uses them.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = (yh @ y)[None]
-            w, coefs = sg_chunk("cmv", gram, (yh @ psi.psi).T, psi.mu / a)
+            w, coefs = receivers.sg_chunk("cmv", gram, (yh @ psi.psi).T, psi.mu / a)
             start2 = np.sum(psi.psi.real**2 + psi.psi.imag**2, axis=0)
-            norms2 = a ** (2.0 * np.arange(1, k + 1)) * filter_norms2(w, coefs, gram, 0.0, 0.0, start2).sum(axis=0)
+            norms2 = a ** (2.0 * np.arange(1, k + 1)) * receivers.filter_norms2(w, coefs, gram, 0.0, 0.0, start2).sum(axis=0)
         failed = np.flatnonzero(~(norms2 <= _DIVERGENCE_LIMIT**2))
         good = failed[0] if failed.size else k
         omegas = ch @ psi.psi - np.cumsum((ch @ y[:, :good]).T[:, :, None] * coefs.T[:good, None, :], axis=0)

@@ -11,7 +11,7 @@ ambiguity, consistent with the phase-aligned error metric.  The svd estimate
 refreshes once per block on both antenna counts, each refresh window folded
 into the covariance in one product.  The sg tracker steps once per
 observation column, so its rates are per symbol with one transmit antenna
-and per block with two; `sg_track` computes those steps `_CHUNK`
+and per block with two; `sg_track` computes those steps `receivers._CHUNK`
 observations at a time on the receivers' kernel, `sg_chunk` and
 `filter_norms2`, while its divergence check and the skip rules of its
 channel step still act per observation.  One function adapts every receiver
@@ -19,18 +19,18 @@ on both antenna counts: a receiver is a list of constrained branches, two
 per block with two transmit antennas and one per symbol with one, and each
 observation column is one step of every branch.  The steps are evaluated a
 chunk at a time, with the outputs of one at a time up to rounding: the sg
-receivers and trained LMS `_CHUNK` (64) observations at a time, from one
-Gram matrix per chunk and branch (one shared by trained LMS's branches), and
-the exact receivers once per refresh window.  The filter-norm check still
-acts per step, from a scalar recursion.  Adapting only records the branches'
-filter outputs; combining, detection and bit-error scoring then run once per
-packet on the recording.  Work that does not depend on the adapting filter
-is done ahead of it, for the whole packet: the genie channel, and for the sg
-receivers every observation's constraint coordinates, offset term and step
-size, each a few numbers per observation.  The (dim, k) products stay per
-chunk, because memory binds: one packet's observations take 3.3 MB at gain
-32 and 6000 symbols, so running a point's trials in lockstep would hold that
-many packets at once.
+receivers and trained LMS `receivers._CHUNK` (64) observations at a time,
+from one Gram matrix per chunk and branch (one shared by trained LMS's
+branches), and the exact receivers once per refresh window.  The filter-norm
+check still acts per step, from a scalar recursion.  Adapting only records
+the branches' filter outputs; combining, detection and bit-error scoring
+then run once per packet on the recording.  Work that does not depend on the
+adapting filter is done ahead of it, for the whole packet: the genie
+channel, and for the sg receivers every observation's constraint
+coordinates, offset term and step size, each a few numbers per observation.
+The (dim, k) products stay per chunk, because memory binds: one packet's
+observations take 3.3 MB at gain 32 and 6000 symbols, so running a point's
+trials in lockstep would hold that many packets at once.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .channel_estimation import (
     estimate_channel_exact,
     sg_track,
 )
+from . import receivers
 from .receivers import (
     CombinerGains,
     branch_channels,
@@ -84,7 +85,6 @@ __all__ = [
 
 AXES = ("symbols", "snr", "users")
 _FILTER_LIMIT = 1e6
-_CHUNK = 64
 
 
 def trial_seed(master_seed: int, point_index: int, run_index: int) -> np.random.SeedSequence:
@@ -251,7 +251,7 @@ def _track_sg(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
     per_block = y.shape[1] // scn.blocks
     dim = c.shape[1]
     psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
-    estimates, diverged = sg_track(psi, c, y, np.ones(dim, dtype=complex) / np.sqrt(dim), _CHUNK)
+    estimates, diverged = sg_track(psi, c, y, np.ones(dim, dtype=complex) / np.sqrt(dim))
     return align_phase(estimates[:, per_block - 1 :: per_block], true), diverged
 
 
@@ -308,7 +308,7 @@ def _adapt(alg, scn, ys, ests, truth, cs):
 
 
 def _adapt_sg(alg, scn, ys, ests, truth, cs):
-    """`_adapt` for ccm-sg, cmv-sg and trained LMS, `_CHUNK` steps at a time.
+    """`_adapt` for ccm-sg, cmv-sg and trained LMS, a chunk of steps at a time.
 
     A branch's filter at step t is w_t = o_(t-1) + v_t (see `sg_chunk`).
     Before the chunks, each receive antenna's packet gives X_b = R_b^H Y for
@@ -360,8 +360,8 @@ def _adapt_sg(alg, scn, ys, ests, truth, cs):
         return constraint_offsets(restorers, ests[m][:, block], scn.nu) + v[m]
 
     outputs = np.empty((nsteps, nrx, nb), dtype=complex)
-    for lo in range(0, nsteps, _CHUNK):
-        hi = min(lo + _CHUNK, nsteps)
+    for lo in range(0, nsteps, receivers._CHUNK):
+        hi = min(lo + receivers._CHUNK, nsteps)
         k = hi - lo
         chunks = []
         for m, y in enumerate(ys):

@@ -47,6 +47,8 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _SUBSTITUTION_BLOCK = 8
+# Steps per `sg_chunk` call, in the sg receivers and the sg channel tracker alike.
+_CHUNK = 64
 
 
 def constraint_restorer(c: np.ndarray) -> np.ndarray:

@@ -232,7 +232,7 @@ def test_criterion_06_sg_channel_tracker_converges():
     psi_like = PsiEstimate(psi=omega.copy(), alpha=1.0, mu=0.0)
     start = canonical_phase(rng.normal(size=6) + 1j * rng.normal(size=6))
     start = start / np.linalg.norm(start)
-    estimates, _ = sg_track(psi_like, np.eye(6, dtype=complex), np.zeros((6, 5000)), start, 64)
+    estimates, _ = sg_track(psi_like, np.eye(6, dtype=complex), np.zeros((6, 5000)), start)
     vector = estimates[:, -1]
     aligned = vector * np.exp(
         1j * np.angle(np.vdot(vector, min_eigenvector(omega)))

@@ -247,7 +247,7 @@ def test_psi_recursion_tracks_min_eigenvector_direction():
     y = simulate_packet(streams, sp, chs, 0.1, rng)
     psi = PsiEstimate.from_constraints(c, alpha=0.998, mu=1e-3)
     start = canonical_phase(np.ones(6, dtype=complex) / np.sqrt(6))
-    estimates, diverged = sg_track(psi, c, y[:, :3000], start, 64)
+    estimates, diverged = sg_track(psi, c, y[:, :3000], start)
     assert not diverged
     assert _mse(estimates[:, -1], h) < 0.05
 
@@ -263,7 +263,7 @@ def test_psi_recursion_raises_on_oversized_step():
         axis=1,
     )
     start = np.ones(4, dtype=complex) / 2.0
-    _, diverged = sg_track(psi, cm_like, ys, start, 64)
+    _, diverged = sg_track(psi, cm_like, ys, start)
     assert diverged
 
 
@@ -279,7 +279,7 @@ def test_fixed_omega_iteration_matches_eigh():
     start = canonical_phase(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     start = start / np.linalg.norm(start)
     ys = np.zeros((dim, 4000), dtype=complex)
-    estimates, _ = sg_track(psi_like, np.eye(dim, dtype=complex), ys, start, 64)
+    estimates, _ = sg_track(psi_like, np.eye(dim, dtype=complex), ys, start)
     oracle = min_eigenvector(omega)
     assert _mse(estimates[:, -1], oracle) < 1e-4
 
@@ -298,7 +298,7 @@ def test_skipped_channel_steps_warn_and_keep_the_estimate(psi, start, message):
     psi_like = PsiEstimate(psi=psi.astype(complex), alpha=1.0, mu=0.0)
     start = start.astype(complex)
     with pytest.warns(RuntimeWarning, match=message):
-        estimates, diverged = sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 3)), start, 64)
+        estimates, diverged = sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 3)), start)
     assert not diverged
     assert np.array_equal(estimates, np.repeat(start[:, None], 3, axis=1))
 
@@ -310,7 +310,7 @@ def test_zero_trace_rule_sees_the_decayed_psi():
     psi_like = PsiEstimate(psi=1e-290 * np.eye(2, dtype=complex), alpha=0.5, mu=0.0)
     start = np.array([0.6, 0.8], dtype=complex)
     with pytest.warns(RuntimeWarning, match="zero-trace channel step skipped") as record:
-        sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 40)), start, 64)
+        sg_track(psi_like, np.eye(2, dtype=complex), np.zeros((2, 40)), start)
     assert len(record) == 6
 
 

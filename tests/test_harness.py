@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stcdma import harness
+from stcdma import harness, receivers
 from stcdma.channel_estimation import PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
 from stcdma.oracles import constraint_projector
@@ -326,7 +326,7 @@ def test_sg_steps_run_once_per_block_per_receive_antenna():
 )
 def test_chunked_receivers_match_per_step_reference(alg, tx, overrides):
     args = _clean_inputs(tx, rx=2, fading="clarke", doppler=0.01, **overrides)[alg]
-    assert args[1][0].shape[1] % harness._CHUNK != 0
+    assert args[1][0].shape[1] % receivers._CHUNK != 0
     ref = _assert_matches_reference(alg, args)
     assert not ref.diverged
 
@@ -600,7 +600,7 @@ def _sg_case(tx, forgetting, step, seed):
     c, y, true = _synthetic_packet(3 - tx, scn.blocks, seed=seed)
     start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
     psi = PsiEstimate.from_constraints(c, alpha=forgetting, mu=step)
-    estimates, diverged = sg_track(psi, c, y, start, harness._CHUNK)
+    estimates, diverged = sg_track(psi, c, y, start)
     reference, failed = _reference_sg_estimates(c, y, forgetting, step)
     return scn, c, y, true, estimates, diverged, reference, failed
 
@@ -610,8 +610,8 @@ def _sg_case(tx, forgetting, step, seed):
 @pytest.mark.parametrize("tx", [1, 2])
 def test_chunked_sg_tracker_matches_per_observation_reference(tx, forgetting, step):
     scn, c, y, true, estimates, diverged, reference, failed = _sg_case(tx, forgetting, step, seed=11)
-    assert y.shape[1] % harness._CHUNK != 0
-    assert y.shape[1] > 2 * harness._CHUNK
+    assert y.shape[1] % receivers._CHUNK != 0
+    assert y.shape[1] > 2 * receivers._CHUNK
     assert failed is None and not diverged
     assert np.max(np.abs(estimates - reference)) < 1e-12
     # The harness keeps each block's last estimate, phase-aligned.
@@ -645,7 +645,7 @@ def test_diverging_sg_tracker_holds_the_reference_estimate(tx, forgetting, step,
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("column", [70, 127], ids=["mid-chunk", "chunk-last"])
+@pytest.mark.parametrize("column", [64, 70, 127], ids=["chunk-first", "mid-chunk", "chunk-last"])
 @pytest.mark.parametrize("tx", [1, 2])
 def test_nonfinite_observation_stops_the_sg_tracker_at_its_own_step(tx, column, value):
     """A NaN or inf entry in one observation fails that observation's step,
@@ -655,7 +655,7 @@ def test_nonfinite_observation_stops_the_sg_tracker_at_its_own_step(tx, column, 
     y[3, column] = value
     start = np.ones(c.shape[1], dtype=complex) / np.sqrt(c.shape[1])
     psi = PsiEstimate.from_constraints(c, alpha=scn.psi_forgetting, mu=scn.step_channel)
-    estimates, diverged = sg_track(psi, c, y, start, harness._CHUNK)
+    estimates, diverged = sg_track(psi, c, y, start)
     with np.errstate(invalid="ignore"):
         reference, failed = _reference_sg_estimates(c, y, scn.psi_forgetting, scn.step_channel)
     assert failed == column

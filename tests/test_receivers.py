@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stcdma import harness
+from stcdma import harness, receivers
 from stcdma.errors import SingularConstraintError
 from stcdma.oracles import central_difference, constraint_projector, kkt_constrained_minimizer
 from stcdma.receivers import (
@@ -223,7 +223,7 @@ def test_sg_steps_keep_constraints_exact():
 def test_sg_step_with_given_outputs_matches_recomputed(step):
     rng, cs, projectors, restorers, h = _feasible_setup(12)
     dim = cs[0].shape[0]
-    n = 2 * harness._CHUNK + 22
+    n = 2 * receivers._CHUNK + 22
     y = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     offsets = constraint_offsets(restorers, h, 1.2)
     ws = list(offsets)

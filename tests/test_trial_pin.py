@@ -99,7 +99,7 @@ def test_pin_covers_every_case():
 # Every hard-coded chunk size but the fading generator's, which sets how
 # Clarke fading rounds its phases (see `fading.py`).
 CHUNK_KNOBS = (
-    (harness, "_CHUNK"),
+    (receivers, "_CHUNK"),
     (receivers, "_SUBSTITUTION_BLOCK"),
     (signal_model, "_SLOTS_PER_RUN"),
 )
