@@ -17,8 +17,9 @@ both antenna counts.  The stochastic steps are defined once per observation,
 so `PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
 with one transmit antenna, per block with two.  `sg_track` computes them a
 chunk at a time on the receivers' block LMS kernel, `receivers.sg_chunk` and
-`receivers.filter_norms2`, while its divergence check and the rules that skip
-a degenerate channel step still act per observation.
+`receivers.filter_norms2`, while its divergence check, the receivers' own
+`receivers.first_divergence`, and the rules that skip a degenerate channel
+step still act per observation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "align_phase",
 ]
 
-_DIVERGENCE_LIMIT = 1e6
 _COND_CAP = 1e12
 
 
@@ -204,9 +204,10 @@ def sg_track(
     C^H psi_0 and ||psi_0|| are computed exactly at every chunk start, which
     caps the drift.  Two checks still act per observation:
 
-    - step j diverges when ||psi_(j+1)|| is non-finite or above 1e6, the
-      lanes' norms summed and scaled by a^(2(j+1)); its column and every
-      later one hold the last good estimate;
+    - step j diverges when ||psi_(j+1)|| is non-finite or 1e6 or more, the
+      lanes' norms summed and scaled by a^(2(j+1)), by the receivers' rule,
+      `receivers.first_divergence`; its column and every later one hold the
+      last good estimate;
     - a zero trace of Omega itself, or a vanishing or non-finite iterate,
       skips that channel step with a warning and keeps the estimate.
     """
@@ -226,9 +227,8 @@ def sg_track(
             gram = (yh @ y)[None]
             w, coefs = receivers.sg_chunk("cmv", gram, (yh @ psi.psi).T, psi.mu / a)
             start2 = np.sum(psi.psi.real**2 + psi.psi.imag**2, axis=0)
-            norms2 = a ** (2.0 * np.arange(1, k + 1)) * receivers.filter_norms2(w, coefs, gram, 0.0, 0.0, start2).sum(axis=0)
-        failed = np.flatnonzero(~(norms2 <= _DIVERGENCE_LIMIT**2))
-        good = failed[0] if failed.size else k
+            norms2 = receivers.filter_norms2(w, coefs, gram, 0.0, 0.0, start2).sum(axis=0, keepdims=True)
+            good = receivers.first_divergence(a ** (2.0 * np.arange(1, k + 1)) * norms2)
         omegas = ch @ psi.psi - np.cumsum((ch @ y[:, :good]).T[:, :, None] * coefs.T[:good, None, :], axis=0)
         traces = np.trace(omegas, axis1=1, axis2=2)
         zero = np.abs(a ** np.arange(1.0, good + 1) * traces) < 1e-300

@@ -101,20 +101,6 @@ def _parse_grid(text: str, kind: str):
     return grid
 
 
-def _worker_count(flag):
-    """The pool size from ``--workers`` or ``STCDMA_WORKERS``; None runs serially."""
-    source, text = "--workers", flag
-    if flag is None:
-        source, text = "STCDMA_WORKERS", os.environ.get("STCDMA_WORKERS") or "0"
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ScenarioError(f"{source} must be a whole number, got {text!r}") from None
-    if workers < 0:
-        raise ScenarioError(f"{source} must not be negative, got {workers}")
-    return workers or None
-
-
 def _default_symbol_grid(packet_symbols: int) -> list:
     return sorted(set(np.linspace(0, packet_symbols - 1, 30).astype(int).tolist()))
 
@@ -128,7 +114,7 @@ def _add_common(parser, needs_grid):
         "--workers",
         type=int,
         default=None,
-        help="parallel worker processes (default: STCDMA_WORKERS or serial); each "
+        help="parallel worker processes (default: serial); each "
         "process runs BLAS on one thread unless OPENBLAS_NUM_THREADS, "
         "OMP_NUM_THREADS, MKL_NUM_THREADS or GOTO_NUM_THREADS is set",
     )
@@ -174,10 +160,13 @@ _COMMAND_AXES = {
 
 
 def _run_sweep_command(args) -> int:
-    for flag, value in (("--runs", args.runs), ("--smooth-window", args.smooth_window)):
-        if value < 1:
-            raise ScenarioError(f"{flag} must be at least 1, got {value}")
-    workers = _worker_count(args.workers)
+    for flag, value, least in (
+        ("--runs", args.runs, 1),
+        ("--smooth-window", args.smooth_window, 1),
+        ("--workers", args.workers or 0, 0),
+    ):
+        if value < least:
+            raise ScenarioError(f"{flag} must be at least {least}, got {value}")
     if not os.path.exists(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
@@ -208,7 +197,7 @@ def _run_sweep_command(args) -> int:
             axis,
             grid,
             args.runs,
-            workers=workers,
+            workers=args.workers,
             smooth_window=args.smooth_window,
         )
     series.rows = [r for r in series.rows if r.metric == metric]

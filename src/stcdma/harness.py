@@ -10,32 +10,31 @@ before use, the usual pilot-equivalent resolution of the blind phase
 ambiguity, consistent with the phase-aligned error metric.  The svd estimate
 refreshes once per block on both antenna counts, each refresh window folded
 into the covariance in one product.  The sg tracker steps once per
-observation column, so its rates are per symbol with one transmit antenna
-and per block with two; `sg_track` computes those steps `receivers._CHUNK`
+observation column, so its rates are per symbol with one transmit antenna and
+per block with two; `sg_track` computes those steps `receivers._CHUNK`
 observations at a time on the receivers' kernel, `sg_chunk` and
-`filter_norms2`, while its divergence check and the skip rules of its
-channel step still act per observation.  One function adapts every receiver
-on both antenna counts: a receiver is a list of constrained branches, two
-per block with two transmit antennas and one per symbol with one, and each
-observation column is one step of every branch.  The steps are evaluated a
-chunk at a time, with the outputs of one at a time up to rounding: the sg
-receivers and trained LMS `receivers._CHUNK` (64) observations at a time,
-from one Gram matrix per chunk and branch (one shared by trained LMS's
-branches), and the exact receivers once per refresh window.  The filter-norm
-check still acts per step, from a scalar recursion.  Adapting only records
-the branches' filter outputs; combining, detection and bit-error scoring
-then run once per packet on the recording.  Work that does not depend on the
-adapting filter is done ahead of it, for the whole packet: the genie
-channel, and for the sg receivers every observation's constraint
-coordinates, offset term and step size, each a few numbers per observation.
-The (dim, k) products stay per chunk, because memory binds: one packet's
-observations take 3.3 MB at gain 32 and 6000 symbols, so running a point's
-trials in lockstep would hold that many packets at once.
+`filter_norms2`, while its divergence check, `first_divergence` as in the
+receivers, and the skip rules of its channel step still act per observation.
+One function adapts every receiver on both antenna counts: a receiver is a
+list of constrained branches, two per block with two transmit antennas and
+one per symbol with one, and each observation column is one step of every
+branch.  The steps are evaluated a chunk at a time, with the outputs of one
+at a time up to rounding: the sg receivers and trained LMS `receivers._CHUNK`
+(64) observations at a time, from one Gram matrix per chunk and branch (one
+shared by trained LMS's branches), and the exact receivers once per refresh
+window.  The filter-norm check, `first_divergence`, still acts per step, from
+a scalar recursion.  Adapting only records the branches' filter outputs;
+combining, detection and bit-error scoring then run once per packet on the
+recording.  Work that does not depend on the adapting filter is done ahead of
+it, for the whole packet: the genie channel, and for the sg receivers every
+observation's constraint coordinates, offset term and step size, each a few
+numbers per observation.  The (dim, k) products stay per chunk, because memory
+binds: one packet's observations take 3.3 MB at gain 32 and 6000 symbols, so
+running a point's trials in lockstep would hold that many packets at once.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import warnings
 from dataclasses import dataclass, field
@@ -53,12 +52,12 @@ from . import receivers
 from .receivers import (
     CombinerGains,
     branch_channels,
-    combine,
     constrained_quadratic_filter,
     constraint_offsets,
     constraint_restorer,
     detect,
     filter_norms2,
+    first_divergence,
     sg_chunk,
 )
 from .scenario import Scenario
@@ -84,7 +83,6 @@ __all__ = [
 ]
 
 AXES = ("symbols", "snr", "users")
-_FILTER_LIMIT = 1e6
 
 
 def trial_seed(master_seed: int, point_index: int, run_index: int) -> np.random.SeedSequence:
@@ -265,13 +263,14 @@ def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.
     """Per-symbol bit errors of a packet, scored once from its recorded
     (steps, rx, branches) filter outputs.
 
-    Equal gains apply with ``egc`` or one receive antenna.  ``mrc`` weighs
-    each slot by the antennas' output energies, a 0.99 IIR over the slots
-    before it that starts at 1.
+    The outputs are combined by one (steps, rx) weight array.  Equal gains
+    apply with ``egc`` or one receive antenna.  ``mrc`` weighs each slot by
+    the antennas' output energies, a 0.99 IIR over the slots before it that
+    starts at 1.
     """
     nrx = outputs.shape[1]
     if combiner == "egc" or nrx == 1:
-        z = combine(outputs.transpose(1, 0, 2), CombinerGains.equal(nrx))
+        gains = np.broadcast_to(CombinerGains.equal(nrx).gains, outputs.shape[:2])
     else:
         power = (np.abs(outputs) ** 2).mean(axis=2)
         gains = np.empty_like(power)
@@ -279,7 +278,7 @@ def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.
         for i, p in enumerate(power):
             gains[i] = CombinerGains.proportional(energies).gains
             energies = 0.99 * energies + 0.01 * p
-        z = np.einsum("sm,smk->sk", gains, outputs)
+    z = np.einsum("sm,smk->sk", gains, outputs)
     return _bit_errors(detect(z), truth.reshape(z.shape)).ravel()
 
 
@@ -293,11 +292,12 @@ def _adapt(alg, scn, ys, ests, truth, cs):
     receiver diverged, and the (rx, branches, dim) filters it ended with.
 
     A step diverges when a branch's new filter has a non-finite norm or one
-    of at least 1e6; a failed solve at an exact refresh diverges too.  The
-    first diverging (step, receive antenna), in step order and then antenna
-    order, freezes every antenna: those before it keep that step's update,
-    it and those after it keep their filters from before the step, and the
-    rest of the packet runs on the frozen filters.
+    of 1e6 or more, as `receivers.first_divergence` decides; a failed solve
+    at an exact refresh diverges too.  The first diverging (step, receive
+    antenna), in step order and then antenna order, freezes every antenna:
+    those before it keep that step's update, it and those after it keep
+    their filters from before the step, and the rest of the packet runs on
+    the frozen filters.
     """
     # A diverging filter or a non-finite observation overflows on purpose;
     # the bound check catches what it makes.
@@ -374,8 +374,7 @@ def _adapt_sg(alg, scn, ys, ests, truth, cs):
             q, c = sg_chunk(rule, gram, rhs, gains[m][lo:hi], targets[:, lo:hi] if lms else 0.0)
             start = np.sum(v[m].real**2 + v[m].imag**2, axis=1)
             norms2 = filter_norms2(q, c, gram, a, offset_norms2[m][:, lo:hi], start)
-            ok = np.all(norms2 < _FILTER_LIMIT**2, axis=0)
-            chunks.append((py, q, c, k if ok.all() else int(np.argmin(ok))))
+            chunks.append((py, q, c, first_divergence(norms2)))
         fail, culprit = min((chunk[3], m) for m, chunk in enumerate(chunks))
         recorded = min(fail + 1, k)
         reached = []
@@ -426,7 +425,6 @@ def _adapt_exact(alg, scn, ys, ests, cs):
             continue
         ages = lam ** np.arange(hi - lo - 1, -1, -1, dtype=float)
         weight = lam ** (hi - lo) * weight + ages.sum()
-        scale = max(weight, 1.0)
         for m, (y, z, est) in enumerate(zip(ys, zs, ests)):
             y = y[:, lo:hi]
             moduli = z.real**2 + z.imag**2 if ccm else 1.0
@@ -435,9 +433,8 @@ def _adapt_exact(alg, scn, ys, ests, cs):
                 t[m] = lam ** (hi - lo) * t[m] + (y @ (ages * np.conj(z)).T).T
             targets = scn.nu * np.stack(branch_channels(est[:, (hi - 1) // per_block])[:nb])
             try:
-                w = constrained_quadratic_filter(s[m] / scale, t[m] / scale, cstack, targets, scn.ridge)
-                # A NaN norm fails the comparison by itself.
-                if not np.all(np.sum(w.real**2 + w.imag**2, axis=1) < _FILTER_LIMIT**2):
+                w = constrained_quadratic_filter(s[m] / weight, t[m] / weight, cstack, targets, scn.ridge)
+                if first_divergence(np.sum(w.real**2 + w.imag**2, axis=1, keepdims=True)) == 0:
                     raise ArithmeticError("filter norm out of bounds")
             except ArithmeticError:  # also ConditioningError from a failed solve
                 diverged = True
@@ -553,14 +550,8 @@ def sweep(
         # Imported here so serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Frozen objects stay out of the workers' collections, which would
-        # otherwise write to, and so copy, pages the fork shares.
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_run_task, tasks))
-        finally:
-            gc.unfreeze()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_task, tasks))
     else:
         outcomes = [_run_task(t) for t in tasks]
     by_point: dict[int, list] = {}

@@ -20,12 +20,16 @@ every step regardless of the gradient noise.  `sg_chunk` evaluates a chunk of
 such steps at once, from the Gram matrix of the chunk's projected
 observations, in the block form of Benesty and Duhamel's fast exact LMS
 (IEEE Trans. Signal Process. 1992): the outputs are those of the steps taken
-one at a time, up to rounding; `filter_norms2` gives every step's filter norm.
-The sg channel tracker, `channel_estimation.sg_track`, runs on both as well.
+one at a time, up to rounding; `filter_norms2` gives every step's filter norm,
+and `first_divergence` the first step at which a norm is non-finite or 1e6
+or more.  The sg channel tracker, `channel_estimation.sg_track`, runs on all
+three as well.  A matrix that every branch, or every lane of the tracker,
+solves against is factored once, in `_solve`.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from operator import mul
 
@@ -38,14 +42,16 @@ __all__ = [
     "constraint_offsets",
     "sg_chunk",
     "filter_norms2",
+    "first_divergence",
     "detect",
     "CombinerGains",
-    "combine",
     "constraint_restorer",
     "constrained_quadratic_filter",
 ]
 
 _COND_LIMIT = 1e12
+# A filter, or the sg tracker's psi, of this norm or more has diverged.
+_NORM_LIMIT = 1e6
 _SUBSTITUTION_BLOCK = 8
 # Steps per `sg_chunk` call, in the sg receivers and the sg channel tracker alike.
 _CHUNK = 64
@@ -76,6 +82,17 @@ def constraint_offsets(restorers, h: np.ndarray, nu: float = 1.0) -> np.ndarray:
     return np.stack([r @ (nu * hb) for r, hb in zip(restorers, branch_channels(h))])
 
 
+def _solve(a, b):
+    """x with a x = b.  A per-lane ``a`` ((lanes, n, n)) solves each lane's
+    right-hand sides ``b`` ((lanes, n, m)) by its own factorization.  A
+    shared ``a`` ((n, n)) is factored once for every column of ``b``: (n, m),
+    or (lanes, n, m) with the lanes' columns set side by side."""
+    if a.ndim > 2 or b.ndim == 2:
+        return np.linalg.solve(a, b)
+    side = b.swapaxes(0, 1)  # (n, lanes, m)
+    return np.linalg.solve(a, side.reshape(len(a), -1)).reshape(side.shape).swapaxes(0, 1)
+
+
 def constrained_quadratic_filter(
     r: np.ndarray,
     d: np.ndarray,
@@ -98,11 +115,7 @@ def constrained_quadratic_filter(
     cols = np.concatenate([d[..., None], c], axis=-1)
     ch = np.swapaxes(c.conj(), -1, -2)
     try:
-        if rr.ndim == 2:
-            side = cols.swapaxes(0, -2)  # (dim, [branches,] 1 + ncon)
-            ri_dc = np.linalg.solve(rr, side.reshape(len(rr), -1)).reshape(side.shape).swapaxes(0, -2)
-        else:
-            ri_dc = np.linalg.solve(rr, cols)
+        ri_dc = _solve(rr, cols)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"covariance solve failed: {exc}") from exc
     ri_d, ri_c = ri_dc[..., :1], ri_dc[..., 1:]
@@ -151,8 +164,8 @@ def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
 
 def _unit_lower_solve(unit, rhs):
     """x with unit x = rhs, for unit lower triangular ``unit`` ((lanes or 1,
-    k, k)) and ``rhs`` (lanes, k); one ``unit`` for every lane is factored
-    once, with the lanes as right-hand sides.
+    k, k)) and ``rhs`` (lanes, k), by `_solve`: one ``unit`` for every lane
+    is factored once.
 
     The system is solved reversed, as an upper triangular one, so partial
     pivoting never swaps a row and the solve is plain substitution in step
@@ -163,12 +176,11 @@ def _unit_lower_solve(unit, rhs):
     are NaN.  A non-finite observation fails its own step in the caller's
     norm check.
     """
-    flipped = unit[:, ::-1, ::-1]
-    if len(unit) == 1:
-        x = np.linalg.solve(flipped[0], rhs[:, ::-1].T)[::-1].T
+    if len(unit) == 1:  # the lanes' right-hand sides as columns side by side
+        x = _solve(unit[0, ::-1, ::-1], rhs[:, ::-1].T)[::-1].T
     else:
-        x = np.linalg.solve(flipped, rhs[:, ::-1, None])[:, ::-1, 0]
-    if np.isfinite(x.sum()):
+        x = _solve(unit[:, ::-1, ::-1], rhs[:, ::-1, None])[:, ::-1, 0]
+    if cmath.isfinite(x.sum()):
         return x
     for lane, r in enumerate(rhs):
         m = unit[lane % len(unit)]
@@ -227,6 +239,13 @@ def filter_norms2(q, c, gram, offset_terms, offset_norms2, start_norms2) -> np.n
     return offset_norms2 + start_norms2[:, None] + np.cumsum(growth, axis=-1)
 
 
+def first_divergence(norms2) -> int:
+    """The first step at which any lane's squared norm, ``norms2`` ((lanes,
+    k)), is non-finite or reaches the square of 1e6; k if none does."""
+    ok = (np.isfinite(norms2) & (norms2 < _NORM_LIMIT**2)).all(axis=0)
+    return len(ok) if ok.all() else int(np.argmin(ok))
+
+
 def detect(z) -> np.ndarray:
     """Per-component QPSK slicer; boundary values resolve to +1."""
     z = np.asarray(z, dtype=complex)
@@ -253,14 +272,3 @@ class CombinerGains:
             return CombinerGains.equal(len(e))
         return CombinerGains(gains=e / total)
 
-
-def combine(outputs: np.ndarray, gains: CombinerGains) -> np.ndarray:
-    """Weighted sum of per-antenna filter outputs.
-
-    `outputs` has shape (antennas,) or (antennas, k); gains must sum to 1.
-    """
-    outputs = np.asarray(outputs, dtype=complex)
-    g = gains.gains
-    if outputs.shape[0] != g.shape[0]:
-        raise ValueError("one gain per antenna required")
-    return np.tensordot(g, outputs, axes=(0, 0))

@@ -111,9 +111,11 @@ class Scenario:
             bad("doppler", "must be non-negative")
         if not self.algorithms:
             bad("algorithms", "at least one algorithm is required")
-        for alg in self.algorithms:
+        for i, alg in enumerate(self.algorithms):
             if alg not in ALGORITHMS:
                 bad("algorithms", f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+            if alg in self.algorithms[:i]:
+                bad("algorithms", f"{alg!r} is listed more than once")
         if self.channel_estimator not in ESTIMATORS:
             bad("channel_estimator", f"must be one of {ESTIMATORS}")
         if self.subspace_power < 1:

@@ -267,6 +267,22 @@ def test_psi_recursion_raises_on_oversized_step():
     assert diverged
 
 
+@pytest.mark.parametrize("entry, diverges", [(1e6, True), (np.nextafter(1e6, 0.0), False)])
+def test_sg_tracker_psi_of_norm_1e6_diverges_at_step_0(entry, diverges):
+    """The tracker takes the receivers' bound: a psi of norm 1e6 has
+    diverged, as a receiver filter of norm 1e6 has, and one just below it
+    has not.  With zero observations and alpha = mu = 0.5, a = 1, so psi
+    stays at psi_0 exactly."""
+    psi0 = np.zeros((4, 2), dtype=complex)
+    psi0[0, 0] = entry
+    start = np.array([0.6, 0.8], dtype=complex)
+    psi = PsiEstimate(psi=psi0, alpha=0.5, mu=0.5)
+    estimates, diverged = sg_track(psi, np.eye(4, 2, dtype=complex), np.zeros((4, 3), dtype=complex), start)
+    assert diverged == diverges
+    held = start if diverges else np.array([0.0, 1.0])
+    assert np.array_equal(estimates, np.repeat(held[:, None], 3, axis=1))
+
+
 def test_fixed_omega_iteration_matches_eigh():
     """With psi frozen, the channel step is a shifted power method whose fixed
     point is the minimum eigenvector of Omega."""

@@ -66,28 +66,25 @@ def test_bad_grid_exits_one(config_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, env, name, value",
+    "args, name, value",
     [
-        (["ber-vs-snr", "--grid", "5", "--runs", "0"], {}, "--runs", "0"),
-        (["ber-vs-symbols", "--runs", "1", "--smooth-window", "0"], {}, "--smooth-window", "0"),
-        (["ber-vs-snr", "--grid", "5", "--runs", "1", "--workers", "-2"], {}, "--workers", "-2"),
-        (["ber-vs-snr", "--grid", "5", "--runs", "1"], {"STCDMA_WORKERS": "two"}, "STCDMA_WORKERS", "'two'"),
-        (["ber-vs-snr", "--grid", ",", "--runs", "1"], {}, "--grid", "','"),
-        (["ber-vs-symbols", "--grid", "0,250", "--runs", "1"], {}, "--grid", "250"),
-        (["ber-vs-snr", "--grid", "5", "--runs", "1", "--seed", "-1"], {}, "master_seed", "-1"),
+        (["ber-vs-snr", "--grid", "5", "--runs", "0"], "--runs", "0"),
+        (["ber-vs-symbols", "--runs", "1", "--smooth-window", "0"], "--smooth-window", "0"),
+        (["ber-vs-snr", "--grid", "5", "--runs", "1", "--workers", "-2"], "--workers", "-2"),
+        (["ber-vs-snr", "--grid", ",", "--runs", "1"], "--grid", "','"),
+        (["ber-vs-symbols", "--grid", "0,250", "--runs", "1"], "--grid", "250"),
+        (["ber-vs-snr", "--grid", "5", "--runs", "1", "--seed", "-1"], "master_seed", "-1"),
     ],
     ids=[
-        "runs-0", "smooth-window-0", "workers-negative", "env-workers-word", "grid-empty",
+        "runs-0", "smooth-window-0", "workers-negative", "grid-empty",
         "grid-outside-packet", "seed-negative",
     ],
 )
-def test_bad_arguments_exit_one_before_any_trial(config_path, monkeypatch, capsys, args, env, name, value):
+def test_bad_arguments_exit_one_before_any_trial(config_path, monkeypatch, capsys, args, name, value):
     def no_trial(*_args):
         raise AssertionError("a trial ran before the arguments were checked")
 
     monkeypatch.setattr(harness, "run_trial", no_trial)
-    for key, text in env.items():
-        monkeypatch.setenv(key, text)
     assert main(args[:1] + ["--config", config_path] + args[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -117,6 +114,17 @@ def test_nonfinite_float_key_exits_one_before_any_trial(tmp_path, monkeypatch, c
     path.write_text("\n".join(kept + [f"{key} = nan"]) + "\n", encoding="utf-8")
     assert main(["ber-vs-symbols", "--config", str(path), "--runs", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: must be finite, got nan")
+
+
+def test_repeated_algorithm_exits_one_naming_it(tmp_path, monkeypatch, capsys):
+    def no_trial(*_args):
+        raise AssertionError("a trial ran with a repeated algorithm")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    path = tmp_path / "repeat.cfg"
+    path.write_text(FAST_CONFIG.replace("algorithms = ccm-sg", "algorithms = ccm-sg, ccm-sg, cmv-sg"), encoding="utf-8")
+    assert main(["ber-vs-snr", "--config", str(path), "--grid", "5", "--runs", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: algorithms: 'ccm-sg' is listed more than once")
 
 
 def test_snr_sweep_writes_schema_and_summary(config_path, tmp_path, capsys):
@@ -322,7 +330,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "G
 def thread_runs(tmp_path_factory):
     """One --workers 2 sweep per thread setting: default, and OPENBLAS_NUM_THREADS=2."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS + ("STCDMA_WORKERS",)}
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = {}
     for label, extra in (("default", {}), ("override", {"OPENBLAS_NUM_THREADS": "2"})):

@@ -132,6 +132,7 @@ def test_filter_bound_checks_finiteness_and_norm(w, ok):
         "trained-lms", scn, ys, [], np.ones(2, dtype=complex), (np.zeros((2, 1)),)
     )
     assert diverged == (not ok)
+    assert receivers.first_divergence(np.sum(np.abs(np.array([w])) ** 2, axis=1, keepdims=True)) == int(ok)
     assert np.array_equal(filters[0, 0], np.array(w, dtype=complex) if ok else np.zeros(2))
     # The zero filter's output on w is 0, or NaN where w has an inf or NaN.
     assert np.array_equal(outputs[1], [[0]])
@@ -578,7 +579,7 @@ def _reference_sg_estimates(c, y, alpha, mu):
         yt = y[:, t]
         psi = alpha * psi + mu * (psi - np.outer(yt, yt.conj() @ psi))
         norm = np.linalg.norm(psi)
-        if not np.isfinite(norm) or norm > 1e6:
+        if not np.isfinite(norm) or norm >= 1e6:
             estimates[:, t:] = h[:, None]
             return estimates, t
         omega = c.conj().T @ psi

@@ -10,7 +10,6 @@ from stcdma.errors import SingularConstraintError
 from stcdma.oracles import central_difference, constraint_projector, kkt_constrained_minimizer
 from stcdma.receivers import (
     CombinerGains,
-    combine,
     constrained_quadratic_filter,
     constraint_offsets,
     constraint_restorer,
@@ -370,13 +369,18 @@ def test_combiner_gains():
     assert np.allclose(CombinerGains.equal(4).gains, 0.25)
 
 
-def test_combine_shapes_and_mismatch():
-    outputs = np.array([[1 + 1j, 2.0], [3.0, 4 - 1j]])
-    g = CombinerGains.proportional((1.0, 3.0))
-    mixed = combine(outputs, g)
-    assert np.allclose(mixed, 0.25 * outputs[0] + 0.75 * outputs[1])
-    with pytest.raises(ValueError):
-        combine(np.zeros((3, 2)), g)
+@pytest.mark.parametrize(
+    "bad,step",
+    [(np.nan, 1), (np.inf, 2), (-np.inf, 0), (1e12, 1), (2e12, 2), (None, 3)],
+)
+def test_first_divergence_flags_nonfinite_norms_and_the_bound(bad, step):
+    """The first step at which any lane's squared norm is non-finite or at
+    least 1e12 (a norm of 1e6); the step count when none is."""
+    norms2 = np.full((2, 3), np.nextafter(1e12, 0.0))
+    if bad is not None:
+        norms2[1, step] = bad
+        norms2[0, 2] = np.nan
+    assert receivers.first_divergence(norms2) == step
 
 
 def test_cmv_with_ensemble_covariance_separates_users():

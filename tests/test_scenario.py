@@ -113,6 +113,7 @@ def test_bad_value_types_report_key():
         ("fading", "rician"),
         ("doppler", -0.1),
         ("algorithms", ("zf",)),
+        ("algorithms", ("ccm-sg", "ccm-sg", "cmv-sg")),
         ("channel_estimator", "pilots"),
         ("subspace_power", 0),
         ("estimator_refresh", 0),
