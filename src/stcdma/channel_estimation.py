@@ -13,13 +13,16 @@ power-method-style recursion that never decomposes anything.
 
 The harness refreshes the exact estimate once per block, from a covariance
 folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
-both antenna counts.  The stochastic steps are defined once per observation,
+both antenna counts.  Where the covariance is well enough conditioned, a
+refresh solves by its Cholesky factor with LAPACK's triangular solve from
+numpy's own BLAS (`_blas.lower_solve`), or with ``np.linalg.solve`` where
+that BLAS has none.  The stochastic steps are defined once per observation,
 so `PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
 with one transmit antenna, per block with two.  `sg_track` computes them a
 chunk at a time on the receivers' block LMS kernel, `receivers.sg_chunk` and
-`receivers.filter_norms2`, while its divergence check, the receivers' own
-`receivers.first_divergence`, and the rules that skip a degenerate channel
-step still act per observation.
+`receivers.filter_norms2`, one triangular solve per chunk, while its
+divergence check, the receivers' own `receivers.first_divergence`, and the
+rules that skip a degenerate channel step still act per observation.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas, receivers
 from .errors import ConditioningError
-from . import receivers
 
 __all__ = [
     "CovarianceEstimate",
@@ -100,15 +103,24 @@ def align_phase(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _cholesky_form(a: np.ndarray, c: np.ndarray, power: int) -> np.ndarray:
     """C^H A^-power C as Z^H Z, from the Cholesky factor A = L L^H: Z is
-    A^-(power // 2) C, solved by L once more for an odd power.  Raises
+    A^-(power // 2) C, solved by L once more for an odd power.  Each solve
+    by L or L^H is LAPACK's triangular one, `_blas.lower_solve`, or
+    ``np.linalg.solve`` where the loaded BLAS has none.  Raises
     ``LinAlgError`` when A is not positive definite."""
     low = np.linalg.cholesky(a)
-    z = c
+    if _blas.ztrtrs() is None:
+        z = c
+        for _ in range(power // 2):
+            z = np.linalg.solve(low.conj().T, np.linalg.solve(low, z))
+        if power % 2:
+            z = np.linalg.solve(low, z)
+        return z.conj().T @ z
+    zt = c.T  # Z's columns as rows
     for _ in range(power // 2):
-        z = np.linalg.solve(low.conj().T, np.linalg.solve(low, z))
+        zt = _blas.lower_solve(low, _blas.lower_solve(low, zt), adjoint=True)
     if power % 2:
-        z = np.linalg.solve(low, z)
-    return z.conj().T @ z
+        zt = _blas.lower_solve(low, zt)
+    return np.conj(zt) @ zt.T
 
 
 def _eigh_form(a: np.ndarray, c: np.ndarray, power: int) -> np.ndarray:

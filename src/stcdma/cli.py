@@ -15,16 +15,16 @@ validation problem, 2 runtime failure (divergence or a failing selftest).
 
 Every subcommand runs the loaded BLAS on one thread per process: at these
 matrix sizes more threads only spin, and under ``--workers`` they would
-oversubscribe the cores.  The setting is made before the worker pool forks,
-so workers inherit it.  Setting ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS`` or ``GOTO_NUM_THREADS`` leaves BLAS at the library's own
-choice.  Thread counts do not change results.
+oversubscribe the cores.  The setting is made before the worker pool starts,
+and each worker makes it again as it starts (`_blas.use_one_thread`), so it
+holds under any start method.  Setting ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``GOTO_NUM_THREADS`` leaves BLAS
+at the library's own choice.  Thread counts do not change results.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import io
 import os
 import sys
@@ -32,6 +32,7 @@ import warnings
 
 import numpy as np
 
+from . import _blas
 from .errors import ScenarioError
 from .harness import sweep
 from .scenario import parse_scenario_file
@@ -40,43 +41,6 @@ from .selftest import run_selftest
 __all__ = ["main", "console_entry", "emit_csv"]
 
 _CSV_HEADER = "axis_value,algorithm,metric,mean,half_width,runs,seed_hash"
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-    "MKL_Set_Num_Threads",
-)
-
-
-def _use_one_blas_thread() -> None:
-    """Set the loaded BLAS to one thread, unless a thread variable is set.
-
-    The library is found among this process's mapped files; where there is no
-    ``/proc`` or no known setter, BLAS is left as it is.
-    """
-    if any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
-        return
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted(
-                {line.split()[-1] for line in fh if ".so" in line and ("blas" in line.lower() or "mkl" in line)}
-            )
-    except OSError:
-        return
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            if hasattr(handle, name):
-                setter = getattr(handle, name)
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                return
 
 
 def emit_csv(series, stream) -> None:
@@ -233,7 +197,7 @@ def _run_sweep_command(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _use_one_blas_thread()
+    _blas.use_one_thread()
     try:
         if args.command == "selftest":
             if args.seed < 0:

@@ -20,9 +20,12 @@ list of constrained branches, two per block with two transmit antennas and
 one per symbol with one, and each observation column is one step of every
 branch.  The steps are evaluated a chunk at a time, with the outputs of one
 at a time up to rounding: the sg receivers and trained LMS `receivers._CHUNK`
-(64) observations at a time, from one Gram matrix per chunk and branch (one
-shared by trained LMS's branches), and the exact receivers once per refresh
-window.  The filter-norm check, `first_divergence`, still acts per step, from
+(64) observations at a time, and the exact receivers once per refresh
+window.  The sg receivers of a trial adapt together, in one pass over the
+packet: each chunk's projected observations and Gram matrices, one per
+branch for ccm-sg and cmv-sg and one shared by trained LMS's branches, are
+built once per receive antenna for all of them, while each receiver keeps
+its own filters, step sizes and freeze.  The filter-norm check, `first_divergence`, still acts per step, from
 a scalar recursion.  Adapting only records the branches' filter outputs;
 combining, detection and bit-error scoring then run once per packet on the
 recording.  Work that does not depend on the adapting filter is done ahead of
@@ -48,7 +51,7 @@ from .channel_estimation import (
     estimate_channel_exact,
     sg_track,
 )
-from . import receivers
+from . import _blas, receivers
 from .receivers import (
     CombinerGains,
     branch_channels,
@@ -282,14 +285,17 @@ def _packet_errors(outputs: np.ndarray, truth: np.ndarray, combiner: str) -> np.
     return _bit_errors(detect(z), truth.reshape(z.shape)).ravel()
 
 
-def _adapt(alg, scn, ys, ests, truth, cs):
-    """Adapt one receiver algorithm over a whole packet.
+def _adapt(algs, scn, ys, ests, truth, cs):
+    """Adapt the receiver algorithms ``algs`` over a whole packet.
 
     ``cs`` holds the branches' constraint matrices, (C, Cbar) with two
     transmit antennas and (conv,) with one.  Every observation column is one
     step for every branch: a block with two transmit antennas, a symbol with
-    one.  Returns the (steps, rx, branches) filter outputs, whether the
-    receiver diverged, and the (rx, branches, dim) filters it ended with.
+    one.  Returns, for each algorithm, the (steps, rx, branches) filter
+    outputs, whether the receiver diverged, and the (rx, branches, dim)
+    filters it ended with.  The sg algorithms adapt together, in one pass
+    (`_adapt_sg`), and each exact one by itself (`_adapt_exact`); an
+    algorithm's results do not depend on which others run with it.
 
     A step diverges when a branch's new filter has a non-finite norm or one
     of 1e6 or more, as `receivers.first_divergence` decides; a failed solve
@@ -302,36 +308,48 @@ def _adapt(alg, scn, ys, ests, truth, cs):
     # A diverging filter or a non-finite observation overflows on purpose;
     # the bound check catches what it makes.
     with np.errstate(over="ignore", invalid="ignore"):
-        if alg.endswith("-exact"):
-            return _adapt_exact(alg, scn, ys, ests, cs)
-        return _adapt_sg(alg, scn, ys, ests, truth, cs)
+        adapted = {alg: _adapt_exact(alg, scn, ys, ests, cs) for alg in algs if alg.endswith("-exact")}
+        sg = [alg for alg in algs if not alg.endswith("-exact")]
+        if sg:
+            adapted.update(_adapt_sg(sg, scn, ys, ests, truth, cs))
+    return adapted
 
 
-def _adapt_sg(alg, scn, ys, ests, truth, cs):
-    """`_adapt` for ccm-sg, cmv-sg and trained LMS, a chunk of steps at a time.
+@dataclass
+class _SgReceiver:
+    """One algorithm's rule, per-step inputs and state in `_adapt_sg`."""
+
+    rule: str
+    gains: list          # per receive antenna, (steps,)
+    offset_terms: list   # per receive antenna, (branches, steps)
+    offset_norms2: list  # per receive antenna, (branches, steps)
+    targets: object      # (branches, steps) for trained LMS, else 0.0
+    v: np.ndarray        # (rx, branches, dim), the null-space parts
+    outputs: np.ndarray  # (steps, rx, branches)
+
+
+def _adapt_sg(algs, scn, ys, ests, truth, cs):
+    """`_adapt` for ccm-sg, cmv-sg and trained LMS, all in one pass over the
+    packet, a chunk of steps at a time.
 
     A branch's filter at step t is w_t = o_(t-1) + v_t (see `sg_chunk`).
     Before the chunks, each receive antenna's packet gives X_b = R_b^H Y for
     the restorer R_b = C_b (C_b^H C_b)^-1, so P_b Y = Y - C_b X_b and every
     offset term y_t^H o_(t-1) = nu X_b[:, t]^H H_b is one product for the
-    packet; so are the offsets' norms and the normalized step gains.  Per
-    chunk and antenna, `sg_chunk` gives every step's output and coefficient
-    c_t from the Gram matrix Y^H P_b Y, `filter_norms2` every step's filter
-    norm, and the state at the chunk's end is one product, v - (P_b Y) c.
-    Trained LMS is plain LMS: no projector, no offset, a filter starting at
-    0.
+    packet; so are the offsets' norms and the ||y_t||^2 of the normalized
+    step gains.  Per chunk and antenna, P_b Y and the Gram matrix Y^H P_b Y
+    are built once for ccm-sg and cmv-sg, and Y^H Y once for trained LMS.
+    Then, for each algorithm, `sg_chunk` gives every step's output and
+    coefficient c_t, `filter_norms2` every step's filter norm, and the state
+    at the chunk's end is one product, v - (P_b Y) c.  Each algorithm holds
+    its own v, step sizes and freeze: one that diverges freezes as `_adapt`
+    says, and the others go on.  Trained LMS is plain LMS: no projector, no
+    offset, a filter starting at 0.
     """
     nrx, nsteps, nb = len(ys), ys[0].shape[1], len(cs)
     per_block = nsteps // scn.blocks
     dim = cs[0].shape[0]
-    lms = alg == "trained-lms"
-    if lms:
-        rule, mu = "lms", scn.step_lms
-        targets = np.conj(truth.reshape(nsteps, nb)).T
-        offset_terms = offset_norms2 = [np.zeros((nb, nsteps))] * nrx
-    else:
-        rule = alg[:3]
-        mu = scn.step_ccm if rule == "ccm" else scn.step_cmv
+    if any(alg != "trained-lms" for alg in algs):
         restorers = [constraint_restorer(c) for c in cs]
         cstack = np.stack(cs)
         rs = np.stack(restorers)
@@ -344,51 +362,74 @@ def _adapt_sg(alg, scn, ys, ests, truth, cs):
             offset_terms.append(np.sum(x.conj() * hs[:, :, prev], axis=1))
             block_norms2 = np.sum(hs.conj() * (rh @ rs @ hs), axis=1).real
             offset_norms2.append(block_norms2[:, np.arange(nsteps) // per_block])
-    if scn.normalize_steps and not lms:
-        # ||y_t||^2 from the real and imaginary views: no packet-sized temporary.
-        power = [np.einsum("ij,ij->j", y.real, y.real) + np.einsum("ij,ij->j", y.imag, y.imag) for y in ys]
-        gains = [mu / (p + 1e-12) for p in power]
-    else:
-        gains = [np.full(nsteps, mu)] * nrx
-    v = np.zeros((nrx, nb, dim), dtype=complex)
+        if scn.normalize_steps:
+            # ||y_t||^2 from the real and imaginary views: no packet-sized temporary.
+            power = [np.einsum("ij,ij->j", y.real, y.real) + np.einsum("ij,ij->j", y.imag, y.imag) for y in ys]
+    states = {}
+    for alg in algs:
+        rule = "lms" if alg == "trained-lms" else alg[:3]
+        mu = {"ccm": scn.step_ccm, "cmv": scn.step_cmv, "lms": scn.step_lms}[rule]
+        if rule == "lms":
+            zeros = [np.zeros((nb, nsteps))] * nrx
+            offsets, targets = (zeros, zeros), np.conj(truth.reshape(nsteps, nb)).T
+        else:
+            offsets, targets = (offset_terms, offset_norms2), 0.0
+        if scn.normalize_steps and rule != "lms":
+            gains = [mu / (p + 1e-12) for p in power]
+        else:
+            gains = [np.full(nsteps, mu)] * nrx
+        v = np.zeros((nrx, nb, dim), dtype=complex)
+        states[alg] = _SgReceiver(rule, gains, *offsets, targets, v, np.empty((nsteps, nrx, nb), dtype=complex))
 
-    def filters(m, step):
-        """Antenna m's filters in use at `step`, o_(step-1) + v."""
-        if lms:
-            return v[m].copy()
+    def filters(r, m, step):
+        """Antenna m's filters of receiver r in use at `step`, o_(step-1) + v."""
+        if r.rule == "lms":
+            return r.v[m].copy()
         block = max(step - 1, 0) // per_block
-        return constraint_offsets(restorers, ests[m][:, block], scn.nu) + v[m]
+        return constraint_offsets(restorers, ests[m][:, block], scn.nu) + r.v[m]
 
-    outputs = np.empty((nsteps, nrx, nb), dtype=complex)
+    adapted = {}
     for lo in range(0, nsteps, receivers._CHUNK):
+        live = {alg: r for alg, r in states.items() if alg not in adapted}
+        if not live:
+            break
         hi = min(lo + receivers._CHUNK, nsteps)
         k = hi - lo
-        chunks = []
+        chunks = {alg: [] for alg in live}
         for m, y in enumerate(ys):
             y = y[:, lo:hi]
             yh = y.conj().T
-            py = y[None] if lms else y - cstack @ xs[m][:, :, lo:hi]
-            gram = yh @ py
-            a = offset_terms[m][:, lo:hi]
-            rhs = a + (yh @ v[m].T).T
-            q, c = sg_chunk(rule, gram, rhs, gains[m][lo:hi], targets[:, lo:hi] if lms else 0.0)
-            start = np.sum(v[m].real**2 + v[m].imag**2, axis=1)
-            norms2 = filter_norms2(q, c, gram, a, offset_norms2[m][:, lo:hi], start)
-            chunks.append((py, q, c, first_divergence(norms2)))
-        fail, culprit = min((chunk[3], m) for m, chunk in enumerate(chunks))
-        recorded = min(fail + 1, k)
-        reached = []
-        for m, (py, q, c, _) in enumerate(chunks):
-            outputs[lo : lo + recorded, m] = np.conj(q[:, :recorded]).T
-            n = min(fail + (m < culprit), k)
-            v[m] -= (py[..., :n] @ c[:, :n, None])[..., 0]
-            reached.append(lo + n)
-        if fail < k:
-            frozen = np.stack([filters(m, step) for m, step in enumerate(reached)])
-            for m, (w, y) in enumerate(zip(frozen, ys)):
-                outputs[lo + recorded :, m] = (w.conj() @ y[:, lo + recorded :]).T
-            return outputs, True, frozen
-    return outputs, False, np.stack([filters(m, nsteps) for m in range(nrx)])
+            projected = {}  # (P Y, Y^H P Y), with P = I for trained LMS
+            for alg, r in live.items():
+                lms = r.rule == "lms"
+                if lms not in projected:
+                    py = y[None] if lms else y - cstack @ xs[m][:, :, lo:hi]
+                    projected[lms] = py, yh @ py
+                py, gram = projected[lms]
+                a = r.offset_terms[m][:, lo:hi]
+                rhs = a + (yh @ r.v[m].T).T
+                q, c = sg_chunk(r.rule, gram, rhs, r.gains[m][lo:hi], r.targets[:, lo:hi] if lms else 0.0)
+                start = np.sum(r.v[m].real ** 2 + r.v[m].imag ** 2, axis=1)
+                norms2 = filter_norms2(q, c, gram, a, r.offset_norms2[m][:, lo:hi], start)
+                chunks[alg].append((py, q, c, first_divergence(norms2)))
+        for alg, r in live.items():
+            fail, culprit = min((chunk[3], m) for m, chunk in enumerate(chunks[alg]))
+            recorded = min(fail + 1, k)
+            reached = []
+            for m, (py, q, c, _) in enumerate(chunks[alg]):
+                r.outputs[lo : lo + recorded, m] = np.conj(q[:, :recorded]).T
+                n = min(fail + (m < culprit), k)
+                r.v[m] -= (py[..., :n] @ c[:, :n, None])[..., 0]
+                reached.append(lo + n)
+            if fail < k:
+                frozen = np.stack([filters(r, m, step) for m, step in enumerate(reached)])
+                for m, (w, y) in enumerate(zip(frozen, ys)):
+                    r.outputs[lo + recorded :, m] = (w.conj() @ y[:, lo + recorded :]).T
+                adapted[alg] = r.outputs, True, frozen
+    for alg, r in states.items():
+        if alg not in adapted:
+            adapted[alg] = r.outputs, False, np.stack([filters(r, m, nsteps) for m in range(nrx)])
+    return adapted
 
 
 def _adapt_exact(alg, scn, ys, ests, cs):
@@ -475,8 +516,9 @@ def run_trial(scn: Scenario, seed) -> TrialResult:
         result.channel_mse[name] = np.repeat(mse_blocks, 2)
         result.diverged[name] = any(diverged for _, diverged in tracked)
     truth = streams[0].symbols
+    adapted = _adapt(scn.algorithms, scn, ys, ests, truth, cs)
     for alg in scn.algorithms:
-        outputs, diverged, _ = _adapt(alg, scn, ys, ests, truth, cs)
+        outputs, diverged, _ = adapted[alg]
         result.bit_errors[alg] = _packet_errors(outputs, truth, scn.combiner)
         result.diverged[alg] = diverged
     return result
@@ -515,7 +557,9 @@ def sweep(
     ``axis="symbols"`` runs a single scenario and reports smoothed error rates
     (and channel MSE, when a blind estimator is active) at the grid's symbol
     indices; the other axes substitute each grid value into the scenario and
-    report scalar error rates over the symbols past `ber_skip`.
+    report scalar error rates over the symbols past `ber_skip`.  With
+    ``workers`` above 1 the trials run in a process pool whose workers each
+    run BLAS on one thread, unless a BLAS thread variable is set.
     """
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
@@ -550,7 +594,9 @@ def sweep(
         # Imported here so serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Each worker sets BLAS to one thread itself: a forked worker would
+        # inherit the setting, a spawned one would not.
+        with ProcessPoolExecutor(max_workers=workers, initializer=_blas.use_one_thread) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:
         outcomes = [_run_task(t) for t in tasks]

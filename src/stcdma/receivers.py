@@ -23,8 +23,14 @@ observations, in the block form of Benesty and Duhamel's fast exact LMS
 one at a time, up to rounding; `filter_norms2` gives every step's filter norm,
 and `first_divergence` the first step at which a norm is non-finite or 1e6
 or more.  The sg channel tracker, `channel_estimation.sg_track`, runs on all
-three as well.  A matrix that every branch, or every lane of the tracker,
-solves against is factored once, in `_solve`.
+three as well.  The linear rules' unit lower triangular systems go to
+LAPACK's triangular solve in numpy's own BLAS (`_blas.lower_solve`): plain
+substitution in step order, so a non-finite observation spoils only its own
+step and the later ones.  A numpy whose BLAS has no LAPACKE (MKL or conda,
+for example) falls back to ``np.linalg.solve``, which needs a re-solve to
+keep the earlier steps of a chunk with a non-finite entry.  A matrix that
+every branch, or every lane of the tracker, solves against is factored or
+substituted once, with every lane as a right-hand side.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from operator import mul
 
 import numpy as np
 
+from . import _blas
 from .errors import ConditioningError, SingularConstraintError
 
 __all__ = [
@@ -164,18 +171,23 @@ def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
 
 def _unit_lower_solve(unit, rhs):
     """x with unit x = rhs, for unit lower triangular ``unit`` ((lanes or 1,
-    k, k)) and ``rhs`` (lanes, k), by `_solve`: one ``unit`` for every lane
-    is factored once.
+    k, k)) and ``rhs`` (lanes, k): one ``unit`` for every lane is solved
+    once, with every lane as a right-hand side.
 
-    The system is solved reversed, as an upper triangular one, so partial
-    pivoting never swaps a row and the solve is plain substitution in step
-    order: no row reads a later one.  A non-finite entry can still spread
-    through the factorization to earlier rows, so when x is not all finite,
-    a lane whose row n is the first with a non-finite entry is solved again
-    over its first n rows; x_n comes from those rows, and the rows after it
-    are NaN.  A non-finite observation fails its own step in the caller's
-    norm check.
+    LAPACK's triangular solve, `_blas.lower_solve`, substitutes in step
+    order, so no row reads a later one and a non-finite observation spoils
+    only its own step and those after it; it fails its own step in the
+    caller's norm check.  Without LAPACKE in the loaded BLAS the system goes
+    to `_solve`, reversed as an upper triangular one so partial pivoting
+    never swaps a row.  A non-finite entry can still spread through that
+    factorization to earlier rows, so when x is not all finite, a lane whose
+    row n is the first with a non-finite entry is solved again over its
+    first n rows; x_n comes from those rows, and the rows after it are NaN.
     """
+    if _blas.ztrtrs() is not None:
+        if len(unit) == 1:
+            return _blas.lower_solve(unit[0], rhs, unit=True)
+        return np.concatenate([_blas.lower_solve(m, r[None], unit=True) for m, r in zip(unit, rhs)])
     if len(unit) == 1:  # the lanes' right-hand sides as columns side by side
         x = _solve(unit[0, ::-1, ::-1], rhs[:, ::-1].T)[::-1].T
     else:

@@ -127,7 +127,8 @@ class Run:
 
 
 def reference_adapt(alg, scn, ys, ests, truth, cs) -> Run:
-    """`harness._adapt` one step at a time, with the same arguments."""
+    """`harness._adapt` for the one algorithm ``alg``, one step at a time,
+    with the same arguments."""
     nrx = len(ys)
     nsteps = ys[0].shape[1]
     nb = len(cs)

@@ -91,7 +91,7 @@ def test_criterion_02_constraints_hold_through_adaptation():
     ).validate()
     truth = np.zeros(2 * steps, dtype=complex)
     ests = [np.repeat(h[:, None], steps, axis=1)]
-    _, diverged, (ws,) = harness._adapt("ccm-sg", scn, [y], ests, truth, (c, cbar))
+    _, diverged, (ws,) = harness._adapt(("ccm-sg",), scn, [y], ests, truth, (c, cbar))["ccm-sg"]
     assert not diverged
     resid = max(
         float(np.linalg.norm(c.conj().T @ ws[0] - nu * h)),

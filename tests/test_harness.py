@@ -1,12 +1,18 @@
 """Trial seeding, metric pooling, and sweep bookkeeping."""
 
+import functools
+import io
+import itertools
+import multiprocessing
 import os
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
 
 from stcdma import harness, receivers
+from stcdma.cli import emit_csv
 from stcdma.channel_estimation import PsiEstimate, align_phase, sg_track
 from stcdma.errors import ConditioningError
 from stcdma.oracles import constraint_projector
@@ -110,6 +116,12 @@ def test_oversized_filter_step_flags_divergence_with_one_antenna():
     assert tr.bit_errors["ccm-sg"].shape == (200,)
 
 
+def _adapt_one(alg, *args):
+    """harness._adapt with ``alg`` as the only algorithm: its (outputs,
+    diverged, filters)."""
+    return harness._adapt((alg,), *args)[alg]
+
+
 # The filter bound acts on every step through the norm recursion.  One
 # trained-LMS step with step size 1 from the zero filter, on the observation
 # w with training symbol 1, leaves the filter w.
@@ -128,7 +140,7 @@ def test_oversized_filter_step_flags_divergence_with_one_antenna():
 def test_filter_bound_checks_finiteness_and_norm(w, ok):
     scn = Scenario(tx_antennas=1, packet_symbols=2, step_lms=1.0, ber_skip=0).validate()
     ys = [np.array([w, [0, 0]], dtype=complex).T]
-    outputs, diverged, filters = harness._adapt(
+    outputs, diverged, filters = _adapt_one(
         "trained-lms", scn, ys, [], np.ones(2, dtype=complex), (np.zeros((2, 1)),)
     )
     assert diverged == (not ok)
@@ -153,9 +165,10 @@ def _clean_inputs(tx, rx=1, **overrides):
         calls = {}
         real = harness._adapt
 
-        def recording(alg, scn, *args):
-            calls[alg] = [scn, *args]
-            return real(alg, scn, *args)
+        def recording(algs, scn, *args):
+            for alg in algs:
+                calls[alg] = [scn, *args]
+            return real(algs, scn, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_adapt", recording)
@@ -206,7 +219,7 @@ def _assert_matches_reference(alg, args):
     """harness._adapt and the per-step reference on the same arguments give
     the same divergence, the same non-finite outputs, and outputs and final
     filters within rounding.  Returns the reference run."""
-    outputs, diverged, filters = harness._adapt(alg, *args)
+    outputs, diverged, filters = _adapt_one(alg, *args)
     ref = reference_adapt(alg, *args)
     assert diverged == ref.diverged
     finite = np.isfinite(ref.outputs)
@@ -236,17 +249,18 @@ def _bad_column(alg, args, tx, branch, value, step=20):
 
 
 # A poisoned observation fails its own step on both antenna counts, and the
-# packet's bit errors keep their full length.
+# packet's bit errors keep their full length.  The poisoned-chunk tests run on
+# both triangular-solve routes (the `route` fixture, in conftest.py).
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
 @pytest.mark.parametrize(
     "tx,branch", BRANCHES, ids=["2tx-w", "2tx-wbar", "1tx"]
 )
-def test_bad_filter_stops_adaptation_on_both_paths(tx, branch, value):
+def test_bad_filter_stops_adaptation_on_both_paths(tx, branch, value, route):
     args = _clean_inputs(tx)["trained-lms"]
     args = _poisoned(args, 0, 20, _bad_column("trained-lms", args, tx, branch, value))
     ref = _assert_matches_reference("trained-lms", args)
     assert ref.failed == (20, 0)
-    outputs, diverged, _ = harness._adapt("trained-lms", *args)
+    outputs, diverged, _ = _adapt_one("trained-lms", *args)
     assert diverged
     assert harness._packet_errors(outputs, args[3], args[0].combiner).shape == (200,)
 
@@ -273,13 +287,13 @@ SG_ALGS = ["ccm-sg", "cmv-sg"]
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6])
 @pytest.mark.parametrize("tx,branch", BRANCHES, ids=BRANCH_IDS)
 @pytest.mark.parametrize("alg", SG_ALGS, ids=["ccm", "cmv"])
-def test_bad_sg_filter_stops_adaptation_at_that_block(alg, tx, branch, value):
+def test_bad_sg_filter_stops_adaptation_at_that_block(alg, tx, branch, value, route):
     clean = _clean_inputs(tx)[alg]
     args = _poisoned(clean, 0, 20, _bad_column(alg, clean, tx, branch, value))
     ref = _assert_matches_reference(alg, args)
     assert ref.failed == (20, 0)
     frozen = reference_adapt(alg, *clean).history[20, 0]
-    outputs, _, filters = harness._adapt(alg, *args)
+    outputs, _, filters = _adapt_one(alg, *args)
     later = frozen.conj() @ args[1][0][:, 21:]
     assert np.allclose(outputs[21:, 0].T, later, rtol=1e-12, atol=1e-12)
     assert np.allclose(filters[0], frozen, rtol=1e-12, atol=1e-12)
@@ -306,7 +320,7 @@ def test_sg_steps_run_once_per_block_per_receive_antenna():
     for tx, steps in ((2, 100), (1, 200)):
         inputs = _clean_inputs(tx, rx=2)
         for alg in SG_ALGS:
-            outputs, diverged, _ = harness._adapt(alg, *inputs[alg])
+            outputs, diverged, _ = _adapt_one(alg, *inputs[alg])
             assert outputs.shape == (steps, 2, tx)
             assert not diverged
             _assert_matches_reference(alg, inputs[alg])
@@ -330,6 +344,49 @@ def test_chunked_receivers_match_per_step_reference(alg, tx, overrides):
     assert args[1][0].shape[1] % receivers._CHUNK != 0
     ref = _assert_matches_reference(alg, args)
     assert not ref.diverged
+
+
+SG_TRIO = ("ccm-sg", "cmv-sg", "trained-lms")
+# Two transmit and two receive antennas.  Four strong users join at symbol
+# 200, and ccm-sg's step, too large for them, diverges at block 104 on
+# antenna 1, inside the second chunk; cmv-sg and trained LMS go on.
+SURGE = dict(packet_symbols=400, extra_users=4, extra_users_at=200, power_sigma_db_extra=6, step_ccm=4e-3)
+
+
+def test_sg_receivers_adapted_together_match_each_alone():
+    """One pass over the packet for every sg receiver gives each the outputs,
+    flag and filters, bit for bit, of a pass for it alone, in any order."""
+    args = _clean_inputs(2, rx=2, **SURGE)["ccm-sg"]
+    ref = _assert_matches_reference("ccm-sg", args)
+    assert ref.failed == (104, 1)
+    together = harness._adapt(SG_TRIO, *args)
+    for alg in SG_TRIO:
+        outputs, diverged, filters = together[alg]
+        alone = harness._adapt((alg,), *args)[alg]
+        assert diverged == alone[1] == (alg == "ccm-sg")
+        assert np.array_equal(outputs, alone[0]), alg
+        assert np.array_equal(filters, alone[2]), alg
+    for order in itertools.permutations(SG_TRIO):
+        reordered = harness._adapt(order, *args)
+        for alg in SG_TRIO:
+            assert all(np.array_equal(a, b) for a, b in zip(reordered[alg], together[alg])), (order, alg)
+
+
+def test_sg_receivers_in_one_trial_score_as_each_alone():
+    scn = _tiny_scenario(tx_antennas=2, rx_antennas=2, algorithms=SG_TRIO, **SURGE)
+    together = run_trial(scn, 3)
+    assert together.diverged == {"ccm-sg": True, "cmv-sg": False, "trained-lms": False}
+    for alg in SG_TRIO:
+        alone = run_trial(scn.replace(algorithms=(alg,)), 3)
+        assert alone.diverged == {alg: together.diverged[alg]}
+        assert np.array_equal(alone.bit_errors[alg], together.bit_errors[alg]), alg
+    everything = run_trial(scn.replace(algorithms=ALGORITHMS), 3)
+    for order in [*itertools.permutations(SG_TRIO), ALGORITHMS[::-1], ALGORITHMS[2:] + ALGORITHMS[:2]]:
+        reordered = run_trial(scn.replace(algorithms=order), 3)
+        base = together if len(order) == len(SG_TRIO) else everything
+        assert reordered.diverged == base.diverged
+        for alg in order:
+            assert np.array_equal(reordered.bit_errors[alg], base.bit_errors[alg]), (order, alg)
 
 
 # Oversized steps grow the filter step by step until the bound fails, in the
@@ -364,7 +421,7 @@ FIRST_FAILURES = {"antenna1-first": (12, 0), "antenna0-first": (0, 12), "same-st
 @pytest.mark.parametrize("case", FIRST_FAILURES)
 @pytest.mark.parametrize("alg", ALGORITHMS)
 @pytest.mark.parametrize("tx", [1, 2])
-def test_two_antenna_divergence_freezes_both_in_loop_order(tx, alg, case, place):
+def test_two_antenna_divergence_freezes_both_in_loop_order(tx, alg, case, place, route):
     """The first failing (step, antenna) in step order and then antenna order
     freezes both antennas: the earlier antenna keeps that step's update, the
     failing one and the later one keep their filters from before it.  An exact
@@ -648,7 +705,7 @@ def test_diverging_sg_tracker_holds_the_reference_estimate(tx, forgetting, step,
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("column", [64, 70, 127], ids=["chunk-first", "mid-chunk", "chunk-last"])
 @pytest.mark.parametrize("tx", [1, 2])
-def test_nonfinite_observation_stops_the_sg_tracker_at_its_own_step(tx, column, value):
+def test_nonfinite_observation_stops_the_sg_tracker_at_its_own_step(tx, column, value, route):
     """A NaN or inf entry in one observation fails that observation's step,
     not its chunk's first: the columns before it keep their estimates."""
     scn = _tiny_scenario(tx_antennas=tx, channel_estimator="sg", packet_symbols=300)
@@ -789,3 +846,19 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(scn, "snr", [6.0, 12.0], runs=2, workers=2)
     assert serial.rows == parallel.rows
     assert serial.seed_hash == parallel.seed_hash
+
+
+def test_sweep_pool_started_by_spawn_writes_the_serial_csv(monkeypatch):
+    """A spawned worker inherits no BLAS setting from the parent; the pool's
+    initializer sets it, and the CSV is the serial run's byte for byte."""
+    scn = _tiny_scenario(algorithms=SG_TRIO)
+
+    def csv(workers):
+        buffer = io.StringIO()
+        emit_csv(sweep(scn, "snr", [6.0, 12.0], runs=2, workers=workers), buffer)
+        return buffer.getvalue()
+
+    serial = csv(None)
+    spawned = functools.partial(futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", spawned)
+    assert csv(2) == serial

@@ -186,8 +186,8 @@ def _adapt_static(alg, cs, y, h, **scenario):
     scn = Scenario(gain=16, n_paths=3, packet_symbols=2 * blocks, ber_skip=0, **scenario).validate()
     ests = [np.repeat(h[:, None], blocks, axis=1)]
     outputs, diverged, filters = harness._adapt(
-        alg, scn, [y], ests, np.zeros(2 * blocks, dtype=complex), cs
-    )
+        (alg,), scn, [y], ests, np.zeros(2 * blocks, dtype=complex), cs
+    )[alg]
     return outputs[:, 0], diverged, filters[0]
 
 
@@ -349,7 +349,8 @@ def test_trained_lms_approaches_wiener_filter():
         n = np.sqrt(sigma2 / 2) * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         ys[:, t] = h * symbols[t] + n
     scn = Scenario(tx_antennas=1, packet_symbols=steps, step_lms=0.005, ber_skip=0).validate()
-    _, diverged, filters = harness._adapt("trained-lms", scn, [ys], [], symbols, (np.zeros((dim, 1)),))
+    adapted = harness._adapt(("trained-lms",), scn, [ys], [], symbols, (np.zeros((dim, 1)),))
+    _, diverged, filters = adapted["trained-lms"]
     assert not diverged
     w = filters[0, 0]
     assert np.linalg.norm(w - w_mmse) < 0.15 * np.linalg.norm(w_mmse)

@@ -118,9 +118,9 @@ def _recorded_trial(monkeypatch, name):
     outputs = {}
     adapt = harness._adapt
 
-    def recording(alg, *args):
-        result = adapt(alg, *args)
-        outputs[alg] = result[0]
+    def recording(algs, *args):
+        result = adapt(algs, *args)
+        outputs.update((alg, run[0]) for alg, run in result.items())
         return result
 
     with monkeypatch.context() as patch:
