@@ -12,14 +12,13 @@ stochastic-gradient tracker `sg_track` follows the same quantity with a
 power-method-style recursion that never decomposes anything.
 
 The harness refreshes the exact estimate once per block, from a covariance
-folded a refresh window at a time with `CovarianceEstimate.update_batch`, on
+folded a refresh window at a time with `CovarianceEstimate.update`, on
 both antenna counts.  Where the covariance is well enough conditioned, a
-refresh solves by its Cholesky factor with LAPACK's triangular solve from
-numpy's own BLAS (`_blas.lower_solve`), or with ``np.linalg.solve`` where
-that BLAS has none.  The stochastic steps are defined once per observation,
-so `PsiEstimate`'s ``alpha`` and ``mu`` are per-observation rates: per symbol
-with one transmit antenna, per block with two.  `sg_track` computes them a
-chunk at a time on the receivers' block LMS kernel, `receivers.sg_chunk` and
+refresh solves by its Cholesky factor, with `_blas.lower_solve`.  The
+stochastic steps are defined once per observation, so `PsiEstimate`'s
+``alpha`` and ``mu`` are per-observation rates: per symbol with one transmit
+antenna, per block with two.  `sg_track` computes them a chunk at a time on
+the receivers' block LMS kernel, `receivers.sg_chunk` and
 `receivers.filter_norms2`, one triangular solve per chunk, while its
 divergence check, the receivers' own `receivers.first_divergence`, and the
 rules that skip a degenerate channel step still act per observation.
@@ -67,7 +66,7 @@ class CovarianceEstimate:
             raise ValueError("forgetting factor must lie in (0, 1]")
         self.s = np.zeros((self.dim, self.dim), dtype=complex)
 
-    def update_batch(self, ys: np.ndarray) -> None:
+    def update(self, ys: np.ndarray) -> None:
         """Fold in the columns of `ys` ((dim, count)) oldest first."""
         count = ys.shape[1]
         ages = self.forgetting ** np.arange(count - 1, -1, -1, dtype=float)
@@ -103,18 +102,10 @@ def align_phase(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 def _cholesky_form(a: np.ndarray, c: np.ndarray, power: int) -> np.ndarray:
     """C^H A^-power C as Z^H Z, from the Cholesky factor A = L L^H: Z is
-    A^-(power // 2) C, solved by L once more for an odd power.  Each solve
-    by L or L^H is LAPACK's triangular one, `_blas.lower_solve`, or
-    ``np.linalg.solve`` where the loaded BLAS has none.  Raises
-    ``LinAlgError`` when A is not positive definite."""
+    A^-(power // 2) C, solved by L once more for an odd power, each solve
+    by L or L^H a `_blas.lower_solve`.  Raises ``LinAlgError`` when A is not
+    positive definite."""
     low = np.linalg.cholesky(a)
-    if _blas.ztrtrs() is None:
-        z = c
-        for _ in range(power // 2):
-            z = np.linalg.solve(low.conj().T, np.linalg.solve(low, z))
-        if power % 2:
-            z = np.linalg.solve(low, z)
-        return z.conj().T @ z
     zt = c.T  # Z's columns as rows
     for _ in range(power // 2):
         zt = _blas.lower_solve(low, _blas.lower_solve(low, zt), adjoint=True)

@@ -227,7 +227,7 @@ def _track_svd(scn: Scenario, c: np.ndarray, y: np.ndarray, true: np.ndarray):
     diverged = False
     start = 0
     for i, b in enumerate(points):
-        cov.update_batch(y[:, start * per_block : (b + 1) * per_block])
+        cov.update(y[:, start * per_block : (b + 1) * per_block])
         start = b + 1
         try:
             vector = estimate_channel_exact(

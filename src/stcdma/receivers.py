@@ -24,18 +24,14 @@ one at a time, up to rounding; `filter_norms2` gives every step's filter norm,
 and `first_divergence` the first step at which a norm is non-finite or 1e6
 or more.  The sg channel tracker, `channel_estimation.sg_track`, runs on all
 three as well.  The linear rules' unit lower triangular systems go to
-LAPACK's triangular solve in numpy's own BLAS (`_blas.lower_solve`): plain
-substitution in step order, so a non-finite observation spoils only its own
-step and the later ones.  A numpy whose BLAS has no LAPACKE (MKL or conda,
-for example) falls back to ``np.linalg.solve``, which needs a re-solve to
-keep the earlier steps of a chunk with a non-finite entry.  A matrix that
+`_blas.lower_solve`, which substitutes in step order, so a non-finite
+observation spoils only its own step and the later ones.  A matrix that
 every branch, or every lane of the tracker, solves against is factored or
 substituted once, with every lane as a right-hand side.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from operator import mul
 
@@ -162,47 +158,9 @@ def sg_chunk(rule: str, gram, rhs, gains, targets=0.0):
     """
     if rule == "ccm":
         return _modulus_substitution(gram, rhs, gains)
-    k = rhs.shape[-1]
-    unit = np.tril(gram, -1) * gains
-    unit.reshape(len(unit), -1)[:, :: k + 1] = 1.0
-    u = _unit_lower_solve(unit, rhs - targets)
+    low = gram * gains  # only the strict lower triangle is read
+    u = _blas.lower_solve(low[0] if len(low) == 1 else low, rhs - targets, unit=True)
     return u + targets, gains * u
-
-
-def _unit_lower_solve(unit, rhs):
-    """x with unit x = rhs, for unit lower triangular ``unit`` ((lanes or 1,
-    k, k)) and ``rhs`` (lanes, k): one ``unit`` for every lane is solved
-    once, with every lane as a right-hand side.
-
-    LAPACK's triangular solve, `_blas.lower_solve`, substitutes in step
-    order, so no row reads a later one and a non-finite observation spoils
-    only its own step and those after it; it fails its own step in the
-    caller's norm check.  Without LAPACKE in the loaded BLAS the system goes
-    to `_solve`, reversed as an upper triangular one so partial pivoting
-    never swaps a row.  A non-finite entry can still spread through that
-    factorization to earlier rows, so when x is not all finite, a lane whose
-    row n is the first with a non-finite entry is solved again over its
-    first n rows; x_n comes from those rows, and the rows after it are NaN.
-    """
-    if _blas.ztrtrs() is not None:
-        if len(unit) == 1:
-            return _blas.lower_solve(unit[0], rhs, unit=True)
-        return np.concatenate([_blas.lower_solve(m, r[None], unit=True) for m, r in zip(unit, rhs)])
-    if len(unit) == 1:  # the lanes' right-hand sides as columns side by side
-        x = _solve(unit[0, ::-1, ::-1], rhs[:, ::-1].T)[::-1].T
-    else:
-        x = _solve(unit[:, ::-1, ::-1], rhs[:, ::-1, None])[:, ::-1, 0]
-    if cmath.isfinite(x.sum()):
-        return x
-    for lane, r in enumerate(rhs):
-        m = unit[lane % len(unit)]
-        bad = np.flatnonzero(~(np.isfinite(m).all(axis=-1) & np.isfinite(r)))
-        if bad.size:
-            n = bad[0]
-            x[lane, :n] = _unit_lower_solve(m[None, :n, :n], r[None, :n])[0]
-            x[lane, n] = r[n] - m[n, :n] @ x[lane, :n]
-            x[lane, n + 1 :] = np.nan
-    return x
 
 
 def _modulus_substitution(gram, rhs, gains):

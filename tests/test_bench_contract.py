@@ -32,20 +32,37 @@ def _env():
 
 
 def test_traced_cli_runs_one_trial_and_writes_the_plain_csv(tmp_path):
-    plain, traced, summary = tmp_path / "plain.csv", tmp_path / "traced.csv", tmp_path / "trace.json"
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
     run = subprocess.run(
         [sys.executable, "-m", "stcdma.cli", *CLI_ARGS, "--out", str(plain)],
         env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+    trials = _traced_trials(tmp_path, CLI_ARGS, traced)
+    assert traced.read_bytes() == plain.read_bytes()
+    assert len(trials) == 1
+    assert trials[0]["calls"]["fading.clarke_fading_sequence"][0] == 1
+
+
+def test_traced_svd_refresh_counts_the_covariance_fold(tmp_path):
+    """Each refresh of ``surge-2tx``'s config folds its blocks into the
+    covariance by ``CovarianceEstimate.update``, a call of the track stage."""
+    args = ["ber-vs-symbols", "--config", os.path.join(ROOT, "configs", "load_surge.cfg"), "--runs", "1"]
+    (trial,) = _traced_trials(tmp_path, args, tmp_path / "traced.csv")
+    folds, fold_s = trial["calls"]["channel_estimation.CovarianceEstimate.update"]
+    assert folds > 0
+    assert folds == trial["calls"]["channel_estimation.estimate_channel_exact"][0]
+    assert trial["stages"]["track"]["busy_s"] > fold_s
+
+
+def _traced_trials(tmp_path, cli_args, out):
+    """The trial records of one ``bench/trace_cli.py`` run of the CLI."""
+    summary = tmp_path / "trace.json"
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "bench", "trace_cli.py"),
          "--summary", str(summary), "--records", str(tmp_path / "records"),
-         "--", *CLI_ARGS, "--out", str(traced)],
+         "--", *cli_args, "--out", str(out)],
         env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert traced.read_bytes() == plain.read_bytes()
-    trials = json.loads(summary.read_text())["trials"]
-    assert len(trials) == 1
-    assert trials[0]["calls"]["fading.clarke_fading_sequence"][0] == 1
+    return json.loads(summary.read_text())["trials"]

@@ -223,13 +223,13 @@ def test_covariance_estimate_matches_loop():
     rng = np.random.default_rng(6)
     ys = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
     batch = CovarianceEstimate(dim=4, forgetting=0.97)
-    batch.update_batch(ys)
+    batch.update(ys)
     loop = SequentialCovariance(4, 0.97)
     for i in range(30):
         loop.update(ys[:, i])
     assert np.max(np.abs(batch.matrix - loop.matrix)) < 1e-12
     plain = CovarianceEstimate(dim=4, forgetting=1.0)
-    plain.update_batch(ys)
+    plain.update(ys)
     assert np.max(np.abs(plain.matrix - (ys @ ys.conj().T) / 30)) < 1e-12
     with pytest.raises(ValueError):
         CovarianceEstimate(dim=4, forgetting=0.0)

@@ -66,8 +66,11 @@ def test_negative_doppler_rejected():
 
 def _exp_formula(fd_t, num_taps, length, rng, oscillators=64):
     """The generator written with one complex exponential per oscillator and
-    sample, drawing from `rng` in the generator's order."""
-    t = np.arange(length)
+    sample, drawing from `rng` in the generator's order.  The phases, their
+    exponentials and the sum are evaluated in long double and rounded once,
+    so the reference does not round the phase itself (where long double is
+    plain double, it does)."""
+    t = np.arange(length, dtype=np.longdouble)
     base = 2.0 * np.pi * (np.arange(oscillators) + 0.5) / oscillators
     out = np.empty((num_taps, length), dtype=complex)
     for tap in range(num_taps):
@@ -109,34 +112,17 @@ def test_chunk_boundaries_match_complex_exponential_formula(fd_t, num_taps, leng
         assert rng.random() == rng_oracle.random()
 
 
-def _extended_precision_formula(fd_t, num_taps, length, rng, oscillators=64):
-    """`_exp_formula`'s draws, with the phases and sinusoids evaluated in
-    long double from the same double-precision Dopplers and phases."""
-    t = np.arange(length).astype(np.longdouble)
-    base = 2.0 * np.pi * (np.arange(oscillators) + 0.5) / oscillators
-    out = np.empty((num_taps, length), dtype=np.clongdouble)
-    for tap in range(num_taps):
-        angles = base + rng.uniform(0.0, 2.0 * np.pi)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=oscillators).astype(np.longdouble)
-        doppler = (2.0 * np.pi * fd_t * np.cos(angles)).astype(np.longdouble)
-        phase = doppler[:, None] * t + phases[:, None]
-        out[tap] = (np.cos(phase) + 1j * np.sin(phase)).sum(0) / np.sqrt(oscillators)
-    return out
-
-
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="long double is no wider than double on this platform",
 )
 def test_long_sequences_are_as_accurate_as_per_sample_exponentials():
     # Past about 80 rad of phase, one ulp of the phase exceeds 1e-14, so the
-    # per-sample formula and the chunked product each round it their own
-    # way and differ by more than the bounds above.  Against an
-    # extended-precision sum, both stay within 2 eps times the largest phase.
+    # chunked product, which rounds the phase in double, differs from the
+    # reference by more than the bounds above.  It stays within 2 eps times
+    # the largest phase, as close as a per-sample sum in double comes.
     fd_t, num_taps, length, seed = 0.05, 2, 3000, 13
-    exact = _extended_precision_formula(fd_t, num_taps, length, np.random.default_rng(seed))
-    per_sample = _exp_formula(fd_t, num_taps, length, np.random.default_rng(seed))
+    exact = _exp_formula(fd_t, num_taps, length, np.random.default_rng(seed))
     chunked = clarke_fading_sequence(fd_t, num_taps, length, seed=seed)
     bound = 2 * np.finfo(float).eps * (2.0 * np.pi * (fd_t * length + 1))
-    assert np.max(np.abs(per_sample - exact)) < bound
     assert np.max(np.abs(chunked - exact)) < bound
